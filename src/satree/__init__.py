@@ -28,16 +28,12 @@ from .markov import (
     stochastically_leq,
     walk_distribution,
 )
-from .oracle import decode_config, encode_config, opt_cost, swap_distance
+from .oracle import opt_cost, swap_distance
 from .policies import (
     Policy,
     build_static_mfu,
     expected_path_length,
     sample_push_path,
-    serve_fixed,
-    serve_max_push,
-    serve_move_half,
-    serve_random_push,
 )
 from .tree import (
     CostLedger,

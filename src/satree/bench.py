@@ -5,15 +5,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .oracle import ORACLE_SIZES, opt_cost
-from .policies import POLICY_KINDS, Policy, serve_random_push
-from .tree import CostLedger, TreeState, depth
-from .workloads import WorkloadSpec, generate, zipf_frequencies
-from .workset import RankTable, is_mru, rank
+from .oracle import check_supported, opt_cost
+from .policies import POLICY_KINDS, Policy
+from .workloads import RequestSequence, WorkloadSpec, generate, zipf_frequencies
+from .workset import is_mru
 
 RATIO_EPS = 1e-12
 
@@ -45,7 +44,6 @@ class RunReport:
     ws_bound: float
     ratio_cost_over_ws: float
     mru_violations: int | None = None
-    mean_depth_by_rank: list | None = None
     opt_cost: int | None = None
 
 
@@ -62,10 +60,14 @@ def workload_frequencies(spec: WorkloadSpec) -> np.ndarray:
         freq = np.zeros(spec.n)
         freq[: spec.subset_size] = 1.0 / spec.subset_size
         return freq
-    seq = generate(spec)
-    counts = np.bincount(seq.items, minlength=spec.n).astype(np.float64)
+    return _item_frequencies(generate(spec))
+
+
+def _item_frequencies(seq: RequestSequence) -> np.ndarray:
+    """Empirical item frequencies of a sequence; uniform for an empty one."""
+    counts = np.bincount(seq.items, minlength=seq.n).astype(np.float64)
     if counts.sum() == 0:
-        return np.full(spec.n, 1.0 / spec.n)
+        return np.full(seq.n, 1.0 / seq.n)
     return counts / counts.sum()
 
 
@@ -87,10 +89,13 @@ def run(cfg: RunConfig) -> RunReport:
         raise ValueError(f"unknown policy {cfg.algo!r}")
     spec = _workload_spec(cfg)
     seq = generate(spec)
-    freq = workload_frequencies(spec) if cfg.algo == "static-mfu" else None
+    freq = None
+    if cfg.algo == "static-mfu":
+        # a trace's frequencies are its own item counts, so count the sequence already read
+        freq = _item_frequencies(seq) if spec.kind == "trace" else workload_frequencies(spec)
     policy = Policy(cfg.algo, cfg.n, seed=cfg.seed, freq=freq)
-    if cfg.oracle and cfg.n not in ORACLE_SIZES:
-        raise ValueError(f"offline oracle refused for n={cfg.n}; supported sizes: {ORACLE_SIZES}")
+    if cfg.oracle:
+        check_supported(cfg.n, len(seq))
     init_layout = tuple(int(g) for g in policy.tree.guest)
     violations = 0 if cfg.check_mru else None
     for v in seq.items:
@@ -128,24 +133,18 @@ def random_push_rank_stats(n, m, seeds, warmup=0):
     depth_cnt = np.zeros(n + 1, dtype=np.int64)
     w_sum = np.zeros(n + 1)
     w_cnt = np.zeros(n + 1, dtype=np.int64)
-    levels = depth(n - 1) + 1
     for seed in seeds:
-        spec = WorkloadSpec(kind="uniform", n=n, m=m, seed=int(seed))
-        seq = generate(spec)
-        t = TreeState(n)
-        rt = RankTable.from_tree(t)
-        ledger = CostLedger()
-        rng = np.random.default_rng(int(seed))
+        seq = generate(WorkloadSpec(kind="uniform", n=n, m=m, seed=int(seed)))
+        policy = Policy("random-push", n, seed=int(seed))
         # suf[d] = requests so far whose access depth exceeded d; an item's deeper-request
         # count is acc[v] plus the suf growth at its current depth since base[v] was set
-        suf = [0] * (levels + 1)
+        suf = [0] * (policy.tree.num_levels + 1)
         base = [0] * n
         acc = [0] * n
         seen = bytearray(n)
-        guest = t.guest
+        guest = policy.tree.guest
         for step, u in enumerate(seq.items):
-            k = int(t.depths[t.host[u]])
-            r = rank(rt, u)
+            k, _, r, path = policy.serve(u)
             if step >= warmup:
                 depth_sum[r] += k
                 depth_cnt[r] += 1
@@ -155,7 +154,6 @@ def random_push_rank_stats(n, m, seeds, warmup=0):
             seen[u] = 1
             for d in range(k):
                 suf[d] += 1
-            path = serve_random_push(t, rt, ledger, u, rng)
             acc[u] = 0
             base[u] = suf[0]
             if path is not None:
@@ -185,8 +183,6 @@ def _format_cell(value):
         return ""
     if isinstance(value, float):
         return f"{value:.6g}"
-    if isinstance(value, list):
-        return ";".join(f"{r}:{v:.6g}" for r, v in value)
     return str(value)
 
 
@@ -203,25 +199,13 @@ def reports_to_csv(reports) -> str:
     return buf.getvalue()
 
 
-def _report_dict(report: RunReport):
-    out = {}
-    for name in CSV_FIELDS:
-        value = getattr(report, name)
-        if isinstance(value, list):
-            value = [[r, v] for r, v in value]
-        out[name] = value
-    return out
-
-
 def reports_to_json(reports, single=False) -> str:
-    payload = _report_dict(reports[0]) if single and len(reports) == 1 else [
-        _report_dict(r) for r in reports
-    ]
+    payload = asdict(reports[0]) if single and len(reports) == 1 else [asdict(r) for r in reports]
     return json.dumps(payload, indent=2) + "\n"
 
 
-def emit(report, fmt, path=None) -> str:
-    """Write one report or a list of reports as CSV or JSON; returns the text."""
+def emit(report, fmt) -> str:
+    """One report or a list of reports as CSV or JSON text."""
     reports = [report] if isinstance(report, RunReport) else list(report)
     single = isinstance(report, RunReport)
     if fmt == "csv":
@@ -230,9 +214,6 @@ def emit(report, fmt, path=None) -> str:
         text = reports_to_json(reports, single=single)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return text
 
 
@@ -241,9 +222,6 @@ def _parse_cell(name, text):
         return None
     if name in ("ws_bound", "ratio_cost_over_ws"):
         return float(text)
-    if name == "mean_depth_by_rank":
-        pairs = [chunk.split(":") for chunk in text.split(";")]
-        return [(int(r), float(v)) for r, v in pairs]
     if name in ("policy", "workload"):
         return text
     return int(text)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .bench import RunConfig, emit, random_push_rank_stats, run
 from .markov import binomial_identity, concavity_check, expected_state_curve
-from .oracle import MAX_REQUESTS, ORACLE_SIZES, opt_cost
+from .oracle import check_supported, opt_cost
 from .policies import Policy
 
 
@@ -119,10 +119,7 @@ def _cmd_markov_check(args):
 
 
 def _cmd_oracle_check(args):
-    if args.n not in ORACLE_SIZES:
-        raise ValueError(f"offline oracle refused for n={args.n}; supported sizes: {ORACLE_SIZES}")
-    if args.m > MAX_REQUESTS[args.n]:
-        raise ValueError(f"at most {MAX_REQUESTS[args.n]} requests supported for n={args.n}")
+    check_supported(args.n, args.m)
     if args.n == 3 and args.m <= 6:
         sequences = itertools.product(range(args.n), repeat=args.m)
     else:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -16,32 +15,12 @@ MAX_REQUESTS = {3: 12, 7: 8}
 _INF = np.int64(1) << 40
 
 
-def encode_config(guests) -> int:
-    """Lexicographic index of a guest permutation among all n! layouts."""
-    guests = [int(g) for g in guests]
-    n = len(guests)
-    if sorted(guests) != list(range(n)):
-        raise ValueError("configuration must be a permutation of 0..n-1")
-    remaining = list(range(n))
-    code = 0
-    for g in guests:
-        code += remaining.index(g) * math.factorial(len(remaining) - 1)
-        remaining.remove(g)
-    return code
-
-
-def decode_config(code, n) -> tuple:
-    """Inverse of encode_config."""
-    code = int(code)
-    if not 0 <= code < math.factorial(n):
-        raise ValueError(f"code {code} out of range for n={n}")
-    remaining = list(range(n))
-    out = []
-    for k in range(n - 1, -1, -1):
-        f = math.factorial(k)
-        out.append(remaining.pop(code // f))
-        code %= f
-    return tuple(out)
+def check_supported(n, m):
+    """Refuse an oracle run the exact optimum cannot handle: n items, m requests."""
+    if n not in ORACLE_SIZES:
+        raise ValueError(f"offline oracle refused for n={n}; supported sizes: {ORACLE_SIZES}")
+    if m > MAX_REQUESTS[n]:
+        raise ValueError(f"at most {MAX_REQUESTS[n]} requests supported for n={n}")
 
 
 class _ConfigSpace:
@@ -115,8 +94,7 @@ def opt_cost(seq, init) -> int:
     init = _as_config(init)
     n = len(init)
     space = _space(n)
-    if len(items) > MAX_REQUESTS[n]:
-        raise ValueError(f"at most {MAX_REQUESTS[n]} requests supported for n={n}")
+    check_supported(n, len(items))
     f = np.full(len(space.perms), _INF, dtype=np.int64)
     f[space.index[init]] = 0
     for v in items:

@@ -5,30 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from .tree import CostLedger, TreeState, access, depth, interchange, relocate_chain, tree_distance
-from .workset import (
-    RankTable,
-    WsAccumulator,
-    _flog2,
-    max_rank_item_at_depth,
-    rank_order,
-    record,
-)
+from .workset import RankTable, WsAccumulator, max_rank_item_at_depth, rank_order, record
 
 POLICY_KINDS = ("move-half", "random-push", "max-push", "static-mfu", "fixed")
-
-
-def serve_move_half(t: TreeState, rt: RankTable, ledger: CostLedger, u, ws=None) -> int:
-    """Access u at depth k, then interchange it with the max-rank item at depth k//2."""
-    ledger.begin_request()
-    k = access(t, u, ledger)
-    if k >= 1:
-        v = max_rank_item_at_depth(rt, t, k // 2)
-        assert v != u
-        interchange(t, u, v, ledger)
-    a, j = ledger.end_request()
-    assert a + j <= 4 * a, "per-request cost exceeded 4x access"
-    record(rt, ws, u)
-    return k
+# the paper's per-request cost bounds, as multiples of the request's access cost
+_COST_FACTOR = {"move-half": 4, "random-push": 5}
 
 
 def sample_push_path(rng, k) -> list[int]:
@@ -37,70 +18,6 @@ def sample_push_path(rng, k) -> list[int]:
     for bit in rng.integers(0, 2, size=k):
         path.append(2 * path[-1] + 1 + int(bit))
     return path
-
-
-def serve_random_push(t: TreeState, rt: RankTable, ledger: CostLedger, u, rng, ws=None):
-    """Promote u to the root and push one random root-to-depth-k path down one level.
-
-    The item displaced off the end of the path fills u's vacated server.
-    Returns the sampled path (None when u was already at the root), so
-    instrumented runs can recover which items moved.
-    """
-    ledger.begin_request()
-    k = access(t, u, ledger)
-    path = None
-    if k > 0:
-        s = int(t.host[u])
-        path = sample_push_path(rng, k)
-        old = [int(t.guest[p]) for p in path]
-        t.guest[0] = u
-        t.host[u] = 0
-        for j in range(k):
-            t.guest[path[j + 1]] = old[j]
-            t.host[old[j]] = path[j + 1]
-        extra = 0
-        if path[k] != s:
-            w = old[k]
-            t.guest[s] = w
-            t.host[w] = s
-            extra = tree_distance(path[k], s)
-        # u up to the root, the path pushed down, plus the end-of-path item's trip
-        ledger.adjust_total += k + k + extra
-    a, j = ledger.end_request()
-    assert a + j <= 5 * a, "per-request cost exceeded 5x access"
-    record(rt, ws, u)
-    return path
-
-
-def serve_max_push(t: TreeState, rt: RankTable, ledger: CostLedger, u, ws=None) -> int:
-    """Restore the exact MRU layout by demoting each level's max-rank item one level.
-
-    Requires an MRU tree on entry; each relocation may cross the whole tree,
-    which is what makes strict MRU maintenance quadratic in the access depth.
-    """
-    order = rank_order(rt)
-    if not (t.depths[t.host[order]] == _flog2(t.n)).all():
-        raise ValueError("max-push requires an MRU tree")
-    ledger.begin_request()
-    k = access(t, u, ledger)
-    if k > 0:
-        # on an MRU tree the max-rank item of level i is the item of rank 2^(i+1)-1
-        demoted = [int(order[(1 << (i + 1)) - 2]) for i in range(k)]
-        dests = [int(t.host[u])] + [int(t.host[w]) for w in demoted[:0:-1]]
-        moves = list(zip(demoted[::-1], dests)) + [(int(u), int(t.host[demoted[0]]))]
-        relocate_chain(t, moves, ledger)
-    ledger.end_request()
-    record(rt, ws, u)
-    return k
-
-
-def serve_fixed(t: TreeState, rt: RankTable, ledger: CostLedger, u, ws=None) -> int:
-    """Access only; the layout never changes."""
-    ledger.begin_request()
-    k = access(t, u, ledger)
-    ledger.end_request()
-    record(rt, ws, u)
-    return k
 
 
 def _check_freq(freq, n):
@@ -152,11 +69,61 @@ class Policy:
         self.rng = np.random.default_rng(seed) if kind == "random-push" else None
 
     def serve(self, u):
-        if self.kind == "move-half":
-            serve_move_half(self.tree, self.ranks, self.ledger, u, ws=self.ws)
-        elif self.kind == "random-push":
-            serve_random_push(self.tree, self.ranks, self.ledger, u, self.rng, ws=self.ws)
-        elif self.kind == "max-push":
-            serve_max_push(self.tree, self.ranks, self.ledger, u, ws=self.ws)
-        else:
-            serve_fixed(self.tree, self.ranks, self.ledger, u, ws=self.ws)
+        """Serve one request for item u; returns (access, adjust, rank, path).
+
+        access is u's depth and rank its recency rank when the request
+        arrives, adjust the swaps spent relocating, and path random-push's
+        sampled push path (None for the other kinds, or when u is at the
+        root).  A rejected request (an item that is not an integer in
+        0..n-1, or max-push on a tree that is not MRU) raises ValueError
+        and changes nothing.
+        """
+        t, ledger = self.tree, self.ledger
+        u = t._check_item(u)
+        if self.kind == "max-push":
+            order = rank_order(self.ranks)
+            # on an MRU tree the item of rank r sits at depth floor(log2(r)) = depths[r-1]
+            if not (t.depths[t.host[order]] == t.depths).all():
+                raise ValueError("max-push requires an MRU tree")
+        adjust0 = ledger.adjust_total
+        k = access(t, u, ledger)
+        path = None
+        if k > 0 and self.kind == "move-half":
+            # interchange u with the max-rank item at depth k//2
+            v = max_rank_item_at_depth(self.ranks, t, k // 2)
+            if v == u:
+                raise RuntimeError(f"move-half chose the requested item {u} as its partner")
+            interchange(t, u, v, ledger)
+        elif k > 0 and self.kind == "random-push":
+            # promote u to the root and push one random root-to-depth-k path down one
+            # level; the item displaced off the end of the path fills u's vacated server
+            s = int(t.host[u])
+            path = sample_push_path(self.rng, k)
+            old = [int(t.guest[p]) for p in path]
+            t.guest[0] = u
+            t.host[u] = 0
+            for j in range(k):
+                t.guest[path[j + 1]] = old[j]
+                t.host[old[j]] = path[j + 1]
+            extra = 0
+            if path[k] != s:
+                w = old[k]
+                t.guest[s] = w
+                t.host[w] = s
+                extra = tree_distance(path[k], s)
+            # u up to the root, the path pushed down, plus the end-of-path item's trip
+            ledger.adjust_total += k + k + extra
+        elif k > 0 and self.kind == "max-push":
+            # demote each level's max-rank item one level, restoring the exact MRU layout;
+            # each relocation may cross the whole tree, so the cost grows like k^2/2.
+            # On an MRU tree the max-rank item of level i is the item of rank 2^(i+1)-1
+            demoted = [int(order[(1 << (i + 1)) - 2]) for i in range(k)]
+            dests = [int(t.host[u])] + [int(t.host[w]) for w in demoted[:0:-1]]
+            moves = list(zip(demoted[::-1], dests)) + [(u, int(t.host[demoted[0]]))]
+            relocate_chain(t, moves, ledger)
+        adjust = ledger.adjust_total - adjust0
+        factor = _COST_FACTOR.get(self.kind)
+        if factor is not None and k + adjust > factor * k:
+            raise RuntimeError(f"{self.kind} request for item {u} cost {k + adjust}, "
+                               f"above {factor}x its access {k}")
+        return k, adjust, record(self.ranks, self.ws, u), path

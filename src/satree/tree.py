@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 
@@ -16,6 +18,17 @@ def depth(s) -> int:
     if s < 0:
         raise ValueError(f"server index {s} out of range")
     return (s + 1).bit_length() - 1
+
+
+def _check_index(v, n) -> int:
+    """v as a Python int, for an exact integer item id in 0..n-1; ValueError otherwise."""
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise ValueError(f"item id must be an integer, got {v!r}") from None
+    if not 0 <= v < n:
+        raise ValueError(f"unknown item {v}")
+    return v
 
 
 def parent(s) -> int:
@@ -51,27 +64,17 @@ def tree_distance(a, b) -> int:
 
 
 class CostLedger:
-    """Running access/adjustment swap totals, with optional per-request deltas."""
+    """Running access/adjustment swap totals; Policy.serve returns each request's share."""
 
     def __init__(self):
         self.access_total = 0
         self.adjust_total = 0
+        # never appended to; kept because perfbench/suite.py reads len(ledger.per_request)
         self.per_request = []
-        self._mark = None
 
     @property
     def cost_total(self):
         return self.access_total + self.adjust_total
-
-    def begin_request(self):
-        self._mark = (self.access_total, self.adjust_total)
-
-    def end_request(self):
-        a0, j0 = self._mark
-        entry = (self.access_total - a0, self.adjust_total - j0)
-        self.per_request.append(entry)
-        self._mark = None
-        return entry
 
 
 class TreeState:
@@ -93,9 +96,11 @@ class TreeState:
                 raise ValueError("guests must be a permutation of 0..n-1")
         self.host = np.empty(self.n, dtype=np.int64)
         self.host[self.guest] = np.arange(self.n, dtype=np.int64)
-        # per-server depths, fixed for the lifetime of the tree
-        self.depths = np.array([depth(s) for s in range(self.n)], dtype=np.int64)
-        self.num_levels = depth(self.n - 1) + 1
+        self.num_levels = self.n.bit_length()
+        # per-server depths floor(log2(s+1)), fixed for the lifetime of the tree; level i
+        # holds 2^i servers, so the same array is floor(log2(r)) for ranks r = 1..n
+        levels = np.arange(self.num_levels, dtype=np.int64)
+        self.depths = np.repeat(levels, 1 << levels)
 
     def level_slice(self, lvl) -> slice:
         """Index range of the servers at a given depth."""
@@ -106,10 +111,7 @@ class TreeState:
         return depth(self.host[self._check_item(v)])
 
     def _check_item(self, v):
-        v = int(v)
-        if not 0 <= v < self.n:
-            raise ValueError(f"unknown item {v}")
-        return v
+        return _check_index(v, self.n)
 
     def _check_server(self, s):
         s = int(s)
@@ -173,7 +175,6 @@ def interchange(t: TreeState, u, v, ledger: CostLedger) -> int:
     t.host[u], t.host[v] = b, a
     charged = 2 * d - 1
     ledger.adjust_total += charged
-    assert charged <= 2 * d
     return charged
 
 

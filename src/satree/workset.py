@@ -6,18 +6,7 @@ import math
 
 import numpy as np
 
-from .tree import TreeState
-
-_flog2_cache = {}
-
-
-def _flog2(n):
-    """Lookup table of floor(log2(r)) for ranks r = 1..n (index r-1)."""
-    tab = _flog2_cache.get(n)
-    if tab is None:
-        tab = np.array([r.bit_length() - 1 for r in range(1, n + 1)], dtype=np.int64)
-        _flog2_cache[n] = tab
-    return tab
+from .tree import TreeState, _check_index
 
 
 class WsAccumulator:
@@ -52,10 +41,7 @@ class RankTable:
         return rt
 
     def _check_item(self, v):
-        v = int(v)
-        if not 0 <= v < self.n:
-            raise ValueError(f"unknown item {v}")
-        return v
+        return _check_index(v, self.n)
 
 
 def rank(rt: RankTable, v) -> int:
@@ -97,14 +83,14 @@ def max_rank_item_at_depth(rt: RankTable, t: TreeState, lvl) -> int:
 
 
 def is_mru(t: TreeState, rt: RankTable) -> bool:
-    """True iff every item sits at depth floor(log2(rank))."""
+    """True iff every item sits at depth floor(log2(rank)); t.depths[r-1] is floor(log2(r))."""
     order = rank_order(rt)
-    return bool((t.depths[t.host[order]] == _flog2(t.n)).all())
+    return bool((t.depths[t.host[order]] == t.depths).all())
 
 
 def is_mru_beta(t: TreeState, rt: RankTable, beta) -> bool:
     """True iff every item sits at most beta levels below its MRU depth."""
-    return bool((t.depths[t.host] <= _flog2(t.n)[ranks(rt) - 1] + int(beta)).all())
+    return bool((t.depths[t.host] <= t.depths[ranks(rt) - 1] + int(beta)).all())
 
 
 def bad_pairs(t: TreeState, rt: RankTable):

@@ -13,11 +13,9 @@ import numpy as np
 import pytest
 
 from satree import (
-    CostLedger,
     Policy,
     RankTable,
     RunConfig,
-    TreeState,
     WsAccumulator,
     WorkloadSpec,
     build_static_mfu,
@@ -31,7 +29,6 @@ from satree import (
     random_push_rank_stats,
     record,
     run,
-    serve_random_push,
     walk_distribution,
 )
 from satree.cli import main as cli_main
@@ -152,8 +149,7 @@ def test_c05_per_request_cost_structure():
             for kind, factor in (("move-half", 4), ("random-push", 5)):
                 p = Policy(kind, n, seed=52)
                 for v in seq.items:
-                    p.serve(v)
-                for a, j in p.ledger.per_request:
+                    a, j, _, _ = p.serve(v)
                     assert a + j <= factor * a or (a, j) == (0, 0), (kind, a, j)
                     checked += 1
     _pass(5, "cost-structure", f"{checked} per-request entries within 4x/5x access")
@@ -220,15 +216,13 @@ def _capped_push_trials(i, w, trials, seed):
     cap (a deeper pusher would bump the tracked item out of rank class i).
     """
     n = 255
-    t = TreeState(n)
-    rt = RankTable.from_tree(t)
-    rng = np.random.default_rng(seed)
+    p = Policy("random-push", n, seed=seed)
+    t, rng = p.tree, p.rng
     maxd = t.num_levels - 1
     counts = np.zeros(i, dtype=np.int64)
     v = 0
     for _ in range(trials):
-        led = CostLedger()
-        serve_random_push(t, rt, led, v, rng)  # tracked item back to the root
+        p.serve(v)  # tracked item back to the root
         for _ in range(w):
             j = depth(t.host[v])
             if j >= i - 1:
@@ -236,7 +230,7 @@ def _capped_push_trials(i, w, trials, seed):
             td = int(rng.integers(j + 1, maxd + 1))
             lo = (1 << td) - 1
             u = int(t.guest[int(rng.integers(lo, min(2 * lo + 1, n)))])
-            serve_random_push(t, rt, led, u, rng)
+            p.serve(u)
         counts[depth(t.host[v])] += 1
     return counts
 

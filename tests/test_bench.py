@@ -6,6 +6,7 @@ import math
 import pytest
 
 from satree import (
+    Policy,
     RunConfig,
     RunReport,
     emit,
@@ -42,6 +43,30 @@ def test_oracle_refused_for_large_trees():
         run(RunConfig(algo="fixed", n=15, m=10, oracle=True))
 
 
+def test_oracle_refuses_long_runs_before_simulating(monkeypatch):
+    def serve(self, u):
+        raise AssertionError("a request was served")
+
+    monkeypatch.setattr(Policy, "serve", serve)
+    with pytest.raises(ValueError, match="at most 8 requests supported for n=7"):
+        run(RunConfig(n=7, m=200000, oracle=True))
+
+
+def test_static_mfu_reads_its_trace_once(tmp_path, monkeypatch):
+    import satree.workloads as workloads
+
+    path = tmp_path / "requests.trace"
+    path.write_text("6\n6\n6\n5\n")
+    calls = []
+    read_trace = workloads.read_trace
+    monkeypatch.setattr(workloads, "read_trace",
+                        lambda *args: calls.append(args) or read_trace(*args))
+    rep = run(RunConfig(algo="static-mfu", n=7, workload="trace", trace=str(path)))
+    assert len(calls) == 1
+    # the trace's own frequencies put item 6 at the root and item 5 below it
+    assert (rep.m, rep.access_total) == (4, 1)
+
+
 def test_oracle_attached_for_tiny_runs():
     rep = run(RunConfig(algo="move-half", n=3, m=8, workload="uniform", seed=2, oracle=True))
     assert rep.opt_cost is not None
@@ -67,9 +92,8 @@ def test_workload_frequencies_shapes():
 
 def test_csv_round_trip(tmp_path):
     rep = run(RunConfig(algo="move-half", n=7, m=64, workload="zipf", seed=9))
-    rep.mean_depth_by_rank = [(1, 0.0), (2, 1.0)]
     path = tmp_path / "out.csv"
-    emit(rep, "csv", path)
+    path.write_text(emit(rep, "csv"))
     (back,) = read_reports_csv(path)
     assert back.policy == rep.policy and back.workload == rep.workload
     assert (back.n, back.m, back.seed) == (rep.n, rep.m, rep.seed)
@@ -80,14 +104,13 @@ def test_csv_round_trip(tmp_path):
     )
     assert back.ws_bound == pytest.approx(rep.ws_bound, rel=1e-5)
     assert back.ratio_cost_over_ws == pytest.approx(rep.ratio_cost_over_ws, rel=1e-5)
-    assert back.mean_depth_by_rank == rep.mean_depth_by_rank
     assert back.mru_violations is None and back.opt_cost is None
 
 
 def test_json_mirrors_fields(tmp_path):
     rep = run(RunConfig(algo="fixed", n=7, m=32, workload="uniform", seed=1))
     path = tmp_path / "out.json"
-    emit(rep, "json", path)
+    path.write_text(emit(rep, "json"))
     data = json.loads(path.read_text())
     assert "ws_bound" in data
     assert data["policy"] == "fixed"
@@ -99,7 +122,7 @@ def test_two_reports_share_one_header(tmp_path):
         run(RunConfig(algo="fixed", n=7, m=32, workload="uniform", seed=s)) for s in (1, 2)
     ]
     path = tmp_path / "two.csv"
-    emit(reps, "csv", path)
+    path.write_text(emit(reps, "csv"))
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 3
     assert lines[0].startswith("policy,workload,n,m,seed")
@@ -128,17 +151,15 @@ def test_rank_stats_match_brute_force_oracle():
     # replay the identical run and count deeper-targeted requests directly, O(n*m)
     import numpy as np
 
-    from satree import CostLedger, RankTable, TreeState, generate, rank, serve_random_push
+    from satree import Policy, generate, rank
     from satree.bench import random_push_rank_stats
     from satree.tree import depth
 
     n, m, seed = 15, 400, 3
     stats = random_push_rank_stats(n, m, seeds=[seed], warmup=0)
 
-    t = TreeState(n)
-    rt = RankTable.from_tree(t)
-    led = CostLedger()
-    rng = np.random.default_rng(seed)
+    p = Policy("random-push", n, seed=seed)
+    t, rt = p.tree, p.ranks
     seq = generate(WorkloadSpec(kind="uniform", n=n, m=m, seed=seed))
     counts = [0] * n
     seen = bytearray(n)
@@ -158,7 +179,7 @@ def test_rank_stats_match_brute_force_oracle():
         for v in range(n):
             if v != u and depth(t.host[v]) < k:
                 counts[v] += 1
-        serve_random_push(t, rt, led, u, rng)
+        p.serve(u)
         counts[u] = 0
     assert d_sum.tolist() == stats["depth_sum"].tolist()
     assert d_cnt.tolist() == stats["depth_cnt"].tolist()

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from satree import Policy, decode_config, encode_config, opt_cost, swap_distance
+from satree import Policy, opt_cost, swap_distance
 
 
 def oracle_swap_distance(n, start, goal):
@@ -26,19 +26,6 @@ def oracle_swap_distance(n, start, goal):
                 seen[nxt] = seen[cur] + 1
                 queue.append(nxt)
     raise AssertionError("unreachable layout")
-
-
-def test_encode_decode_round_trip():
-    for perm in itertools.permutations(range(3)):
-        assert decode_config(encode_config(perm), 3) == perm
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        perm = tuple(int(x) for x in rng.permutation(7))
-        assert decode_config(encode_config(perm), 7) == perm
-    with pytest.raises(ValueError):
-        encode_config((0, 0, 2))
-    with pytest.raises(ValueError):
-        decode_config(6, 3)
 
 
 def test_swap_distance_examples():

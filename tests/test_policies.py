@@ -4,21 +4,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satree import (
-    CostLedger,
     Policy,
     RankTable,
     TreeState,
-    WsAccumulator,
     build_static_mfu,
     expected_path_length,
     is_mru,
     rank,
-    serve_max_push,
-    serve_move_half,
-    serve_random_push,
 )
+from satree.policies import POLICY_KINDS
 
 
 class ScriptedRng:
@@ -33,30 +31,30 @@ class ScriptedRng:
         return out
 
 
-def fresh(n):
-    t = TreeState(n)
-    return t, RankTable.from_tree(t), CostLedger()
+def scripted(bits, n=7):
+    """A random-push policy whose push paths follow the given child bits."""
+    p = Policy("random-push", n)
+    p.rng = ScriptedRng(bits)
+    return p
 
 
 def test_move_half_root_request_is_free():
-    t, rt, led = fresh(7)
-    serve_move_half(t, rt, led, 0)
-    assert led.per_request == [(0, 0)]
-    assert t.guest.tolist() == list(range(7))
+    p = Policy("move-half", 7)
+    assert p.serve(0)[:2] == (0, 0)
+    assert p.tree.guest.tolist() == list(range(7))
 
 
 def test_move_half_depth_one_swaps_with_root():
-    t, rt, led = fresh(7)
-    serve_move_half(t, rt, led, 1)
-    assert led.per_request == [(1, 1)]
-    assert int(t.host[1]) == 0 and int(t.host[0]) == 1
+    p = Policy("move-half", 7)
+    assert p.serve(1)[:2] == (1, 1)
+    assert int(p.tree.host[1]) == 0 and int(p.tree.host[0]) == 1
 
 
 def test_move_half_opposite_branch_example():
     # u = item 7 at depth 3; the max-rank depth-1 item is item 2 across the root
-    t, rt, led = fresh(15)
-    serve_move_half(t, rt, led, 7)
-    a, j = led.per_request[0]
+    p = Policy("move-half", 15)
+    t = p.tree
+    a, j, _, _ = p.serve(7)
     assert (a, j) == (3, 7)  # distance 4 interchange costs 2*4 - 1
     assert a + j <= 4 * a <= 12
     assert int(t.host[7]) == 2  # u landed at depth 1
@@ -66,92 +64,87 @@ def test_move_half_opposite_branch_example():
 
 def test_move_half_per_request_bound_fuzz():
     rng = np.random.default_rng(2)
-    t, rt, led = fresh(31)
-    ws = WsAccumulator()
-    for v in rng.integers(0, 31, size=3000):
-        serve_move_half(t, rt, led, int(v), ws=ws)
-    assert all(a + j <= 4 * a for a, j in led.per_request if a)
-    assert all((a, j) == (0, 0) for a, j in led.per_request if not a)
-    t.check_bijection()
+    p = Policy("move-half", 31)
+    per_request = [p.serve(int(v))[:2] for v in rng.integers(0, 31, size=3000)]
+    assert all(a + j <= 4 * a for a, j in per_request if a)
+    assert all((a, j) == (0, 0) for a, j in per_request if not a)
+    p.tree.check_bijection()
 
 
 def test_random_push_root_request_is_free():
-    t, rt, led = fresh(7)
-    assert serve_random_push(t, rt, led, 0, ScriptedRng([])) is None
-    assert led.per_request == [(0, 0)]
-    assert t.guest.tolist() == list(range(7))
+    p = scripted([])
+    assert p.serve(0) == (0, 0, 1, None)
+    assert p.tree.guest.tolist() == list(range(7))
 
 
 def test_random_push_path_hits_accessed_server():
     # u = item 2 at depth 1; the scripted path lands on u's own server
-    t, rt, led = fresh(7)
-    path = serve_random_push(t, rt, led, 2, ScriptedRng([1]))
+    p = scripted([1])
+    a, j, _, path = p.serve(2)
     assert path == [0, 2]
-    assert led.per_request == [(1, 2)]
-    assert t.guest.tolist() == [2, 1, 0, 3, 4, 5, 6]
+    assert (a, j) == (1, 2)
+    assert p.tree.guest.tolist() == [2, 1, 0, 3, 4, 5, 6]
 
 
 def test_random_push_path_lands_on_sibling():
     # u = item 2 at depth 1; the path ends at server 1, so three items rotate
-    t, rt, led = fresh(7)
-    path = serve_random_push(t, rt, led, 2, ScriptedRng([0]))
+    p = scripted([0])
+    a, j, _, path = p.serve(2)
     assert path == [0, 1]
-    assert led.per_request == [(1, 4)]  # 1 up + 1 cascade + 2 for the end-of-path trip
-    assert t.guest.tolist() == [2, 0, 1, 3, 4, 5, 6]
-    assert led.per_request[0][0] + led.per_request[0][1] <= 5 * 1
+    assert (a, j) == (1, 4)  # 1 up + 1 cascade + 2 for the end-of-path trip
+    assert p.tree.guest.tolist() == [2, 0, 1, 3, 4, 5, 6]
+    assert a + j <= 5 * 1
 
 
 def test_random_push_depths_never_decrease_except_requested():
     rng = np.random.default_rng(9)
-    t, rt, led = fresh(31)
+    p = Policy("random-push", 31)
+    p.rng = rng
+    t = p.tree
+    per_request = []
     for v in rng.integers(0, 31, size=2000):
         before = t.depths[t.host].copy()
-        serve_random_push(t, rt, led, int(v), rng)
+        per_request.append(p.serve(int(v))[:2])
         after = t.depths[t.host]
         others = np.arange(31) != int(v)
         assert (after[others] >= before[others]).all()
-    assert all(a + j <= 5 * a for a, j in led.per_request if a)
+    assert all(a + j <= 5 * a for a, j in per_request if a)
     t.check_bijection()
 
 
 def test_random_push_is_deterministic_given_seed():
     def final_state(seed):
         p = Policy("random-push", 15, seed=seed)
-        for v in np.random.default_rng(4).integers(0, 15, size=500):
-            p.serve(int(v))
-        return p.tree.guest.tolist(), p.ledger.per_request
+        per_request = [p.serve(int(v)) for v in np.random.default_rng(4).integers(0, 15, size=500)]
+        return p.tree.guest.tolist(), per_request
 
     assert final_state(123) == final_state(123)
     assert final_state(123) != final_state(124)
 
 
 def test_max_push_root_request_only_updates_rank():
-    t, rt, led = fresh(7)
-    serve_max_push(t, rt, led, 0)
-    assert led.per_request == [(0, 0)]
-    assert rank(rt, 0) == 1
+    p = Policy("max-push", 7)
+    assert p.serve(0)[:2] == (0, 0)
+    assert rank(p.ranks, 0) == 1
 
 
 def test_max_push_depth_one_exchange():
-    t, rt, led = fresh(3)
-    serve_max_push(t, rt, led, 2)
-    assert led.per_request == [(1, 2)]  # two unit relocations
-    assert t.guest.tolist() == [2, 1, 0]
-    assert is_mru(t, rt)
+    p = Policy("max-push", 3)
+    assert p.serve(2)[:2] == (1, 2)  # two unit relocations
+    assert p.tree.guest.tolist() == [2, 1, 0]
+    assert is_mru(p.tree, p.ranks)
 
 
 def test_max_push_worst_layout_quadratic_hops():
     # max-rank items of levels 1 and 2 placed off the requested branch
-    t = TreeState(15)
-    rt = RankTable.from_tree(t)
+    p = Policy("max-push", 15)
+    t, rt = p.tree, p.ranks
     stamps = rt.stamps.copy()
     stamps[1], stamps[2] = stamps[2], stamps[1]  # level 1 max rank now at server 1
     stamps[3], stamps[6] = stamps[6], stamps[3]  # level 2 max rank now at server 3
     rt.stamps = stamps
     assert is_mru(t, rt)
-    led = CostLedger()
-    serve_max_push(t, rt, led, 14)  # max-rank leaf, k = 3
-    a, j = led.per_request[0]
+    a, j, _, _ = p.serve(14)  # max-rank leaf, k = 3
     assert a == 3
     assert j == 10  # dist(3,14) + dist(1,3) + dist(0,1) + dist(14,0)
     assert j >= 3 * (3 - 1) / 2
@@ -159,10 +152,11 @@ def test_max_push_worst_layout_quadratic_hops():
 
 
 def test_max_push_rejects_non_mru_tree():
-    t = TreeState(7, guests=[6, 1, 2, 3, 4, 5, 0])
-    rt = RankTable(7)
+    p = Policy("max-push", 7)
+    p.tree = TreeState(7, guests=[6, 1, 2, 3, 4, 5, 0])
+    p.ranks = RankTable(7)
     with pytest.raises(ValueError, match="MRU"):
-        serve_max_push(t, rt, CostLedger(), 3)
+        p.serve(3)
 
 
 def test_max_push_keeps_mru_under_fuzz():
@@ -238,3 +232,62 @@ def test_policy_requires_known_kind_and_mfu_frequencies():
     for v in (3, 5, 3):
         p.serve(v)
     assert p.ledger.adjust_total == 0
+
+
+def make_policy(kind, n):
+    return Policy(kind, n, seed=1, freq=np.full(n, 1 / n) if kind == "static-mfu" else None)
+
+
+def snapshot(p):
+    return (p.tree.guest.tolist(), p.tree.host.tolist(), p.ranks.stamps.tolist(), p.ranks.clock,
+            p.ledger.access_total, p.ledger.adjust_total, p.ws.total)
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_rejected_request_changes_nothing(kind):
+    n = 15
+    p = make_policy(kind, n)
+    for v in (7, 3, 12, 7, 0):
+        p.serve(v)
+    before = snapshot(p)
+    for bad in (3.7, -1, n, "3"):
+        with pytest.raises(ValueError):
+            p.serve(bad)
+        assert snapshot(p) == before, bad
+    p.serve(np.int64(3))  # numpy integers are exact integers
+    assert snapshot(p) != before
+
+
+def test_max_push_rejection_changes_nothing():
+    p = Policy("max-push", 7)
+    p.tree = TreeState(7, guests=[6, 1, 2, 3, 4, 5, 0])
+    before = snapshot(p)
+    with pytest.raises(ValueError, match="MRU"):
+        p.serve(3)
+    assert snapshot(p) == before
+
+
+INVALID = st.sampled_from([3.7, -1, 15, 99, "3", None, 2.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(POLICY_KINDS),
+       requests=st.lists(st.one_of(st.integers(0, 14), INVALID), max_size=60))
+def test_invalid_requests_leave_no_trace(kind, requests):
+    mixed, valid = make_policy(kind, 15), make_policy(kind, 15)
+    for v in requests:
+        if isinstance(v, int) and 0 <= v < 15:
+            assert mixed.serve(v) == valid.serve(v)
+        else:
+            with pytest.raises(ValueError):
+                mixed.serve(v)
+    assert snapshot(mixed) == snapshot(valid)
+
+
+def test_cost_bound_is_checked_on_every_request(monkeypatch):
+    # an end-of-path trip charged 100 hops breaks random-push's 5x bound
+    monkeypatch.setattr("satree.policies.tree_distance", lambda a, b: 100)
+    p = Policy("random-push", 15, seed=0)
+    with pytest.raises(RuntimeError, match="5x"):
+        for v in range(7, 15):
+            p.serve(v)

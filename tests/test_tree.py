@@ -7,6 +7,7 @@ import pytest
 
 from satree import (
     CostLedger,
+    Policy,
     TreeState,
     access,
     depth,
@@ -46,6 +47,14 @@ def test_depth_examples():
     assert depth(6) == 2
     with pytest.raises(ValueError):
         depth(-1)
+
+
+def test_depths_table_matches_depth():
+    for d in range(1, 15):
+        n = (1 << d) - 1
+        t = TreeState(n)
+        assert t.num_levels == d
+        assert t.depths.tolist() == [depth(s) for s in range(n)]
 
 
 def test_tree_size_validation():
@@ -183,16 +192,10 @@ def test_relocate_chain_rejects_occupied_destination():
 
 
 def test_ledger_totals_are_monotone_sums():
-    t = TreeState(7)
-    led = CostLedger()
-    led.begin_request()
-    access(t, 5, led)
-    swap(t, 5, led)
-    led.end_request()
-    led.begin_request()
-    interchange(t, 0, 6, led)
-    led.end_request()
-    assert led.access_total == sum(a for a, _ in led.per_request)
-    assert led.adjust_total == sum(j for _, j in led.per_request)
-    assert all(a >= 0 and j >= 0 for a, j in led.per_request)
+    p = Policy("move-half", 7)
+    per_request = [p.serve(v)[:2] for v in (5, 6, 0, 5, 3)]
+    led = p.ledger
+    assert led.access_total == sum(a for a, _ in per_request)
+    assert led.adjust_total == sum(j for _, j in per_request)
+    assert all(a >= 0 and j >= 0 for a, j in per_request)
     assert led.cost_total == led.access_total + led.adjust_total

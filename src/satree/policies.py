@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import CostLedger, TreeState, access, depth, interchange, relocate_chain, tree_distance
-from .workset import RankTable, WsAccumulator, max_rank_item_at_depth, rank_order, record
+from .tree import CostLedger, TreeState, _access, depth, interchange, relocate_chain, tree_distance
+from .workset import RankTable, WsAccumulator, _level_minima, _record, max_rank_item_at_depth
 
 POLICY_KINDS = ("move-half", "random-push", "max-push", "static-mfu", "fixed")
 # the paper's per-request cost bounds, as multiples of the request's access cost
@@ -81,12 +81,12 @@ class Policy:
         t, ledger = self.tree, self.ledger
         u = t._check_item(u)
         if self.kind == "max-push":
-            order = rank_order(self.ranks)
-            # on an MRU tree the item of rank r sits at depth floor(log2(r)) = depths[r-1]
-            if not (t.depths[t.host[order]] == t.depths).all():
+            st = self.ranks.stamps[t.guest]
+            mins, mru = _level_minima(t, st)
+            if not mru:
                 raise ValueError("max-push requires an MRU tree")
         adjust0 = ledger.adjust_total
-        k = access(t, u, ledger)
+        k = _access(t, u, ledger)
         path = None
         if k > 0 and self.kind == "move-half":
             # interchange u with the max-rank item at depth k//2
@@ -116,14 +116,16 @@ class Policy:
         elif k > 0 and self.kind == "max-push":
             # demote each level's max-rank item one level, restoring the exact MRU layout;
             # each relocation may cross the whole tree, so the cost grows like k^2/2.
-            # On an MRU tree the max-rank item of level i is the item of rank 2^(i+1)-1
-            demoted = [int(order[(1 << (i + 1)) - 2]) for i in range(k)]
-            dests = [int(t.host[u])] + [int(t.host[w]) for w in demoted[:0:-1]]
-            moves = list(zip(demoted[::-1], dests)) + [(u, int(t.host[demoted[0]]))]
+            # A level's max-rank item holds its minimum stamp, and only it, as stamps are distinct
+            top = (1 << k) - 1
+            lru = np.flatnonzero(st[:top] == mins[t.depths[:top]]).tolist()  # a server per level
+            demoted = t.guest[lru].tolist()
+            dests = [int(t.host[u])] + lru[:0:-1]
+            moves = list(zip(demoted[::-1], dests)) + [(u, lru[0])]
             relocate_chain(t, moves, ledger)
         adjust = ledger.adjust_total - adjust0
         factor = _COST_FACTOR.get(self.kind)
         if factor is not None and k + adjust > factor * k:
             raise RuntimeError(f"{self.kind} request for item {u} cost {k + adjust}, "
                                f"above {factor}x its access {k}")
-        return k, adjust, record(self.ranks, self.ws, u), path
+        return k, adjust, _record(self.ranks, self.ws, u), path

@@ -20,14 +20,14 @@ def depth(s) -> int:
     return (s + 1).bit_length() - 1
 
 
-def _check_index(v, n) -> int:
-    """v as a Python int, for an exact integer item id in 0..n-1; ValueError otherwise."""
+def _check_index(v, n, what="item") -> int:
+    """v as a Python int, for an exact integer id in 0..n-1; ValueError otherwise."""
     try:
         v = operator.index(v)
     except TypeError:
-        raise ValueError(f"item id must be an integer, got {v!r}") from None
+        raise ValueError(f"{what} id must be an integer, got {v!r}") from None
     if not 0 <= v < n:
-        raise ValueError(f"unknown item {v}")
+        raise ValueError(f"unknown {what} {v}")
     return v
 
 
@@ -50,17 +50,22 @@ def tree_path(a, b) -> list[int]:
 
 
 def tree_distance(a, b) -> int:
-    """Number of edges on the unique path between servers a and b."""
-    a, b = int(a), int(b)
-    da, db = depth(a), depth(b)
-    hops = 0
-    while da > db:
-        a, da, hops = parent(a), da - 1, hops + 1
-    while db > da:
-        b, db, hops = parent(b), db - 1, hops + 1
-    while a != b:
-        a, b, hops = parent(a), parent(b), hops + 2
-    return hops
+    """Number of edges on the unique path between servers a and b.
+
+    In s+1 the bits below the leading one spell the root-to-s path, so the
+    deeper end is lifted to the shallower one's depth by a shift, and the
+    lowest common ancestor sits as many levels above both as the bit length
+    of their XOR.
+    """
+    x, y = int(a) + 1, int(b) + 1
+    if x < 1 or y < 1:
+        raise ValueError(f"server index {min(x, y) - 1} out of range")
+    lift = x.bit_length() - y.bit_length()
+    if lift > 0:
+        x >>= lift
+    else:
+        y >>= -lift
+    return abs(lift) + 2 * (x ^ y).bit_length()
 
 
 class CostLedger:
@@ -98,9 +103,12 @@ class TreeState:
         self.host[self.guest] = np.arange(self.n, dtype=np.int64)
         self.num_levels = self.n.bit_length()
         # per-server depths floor(log2(s+1)), fixed for the lifetime of the tree; level i
-        # holds 2^i servers, so the same array is floor(log2(r)) for ranks r = 1..n
+        # holds 2^i servers, so the same array is floor(log2(r)) for ranks r = 1..n; int8,
+        # as every tree keeps its own copy and no depth reaches 127
         levels = np.arange(self.num_levels, dtype=np.int64)
-        self.depths = np.repeat(levels, 1 << levels)
+        self.depths = np.repeat(levels.astype(np.int8), 1 << levels)
+        # first server of each level, the segment starts for per-level reductions
+        self.level_starts = (1 << levels) - 1
 
     def level_slice(self, lvl) -> slice:
         """Index range of the servers at a given depth."""
@@ -114,14 +122,13 @@ class TreeState:
         return _check_index(v, self.n)
 
     def _check_server(self, s):
-        s = int(s)
-        if not 0 <= s < self.n:
-            raise ValueError(f"server index {s} out of range for n={self.n}")
-        return s
+        return _check_index(s, self.n, "server")
 
     def check_bijection(self):
-        assert (self.guest[self.host] == np.arange(self.n)).all()
-        assert (self.host[self.guest] == np.arange(self.n)).all()
+        """Raise RuntimeError unless guest and host are inverse permutations."""
+        ids = np.arange(self.n)
+        if not ((self.guest[self.host] == ids).all() and (self.host[self.guest] == ids).all()):
+            raise RuntimeError("guest and host are not inverse permutations")
 
 
 def routing_header(t: TreeState, v) -> str:
@@ -141,7 +148,12 @@ def follow_header(t: TreeState, bits) -> int:
 
 def access(t: TreeState, v, ledger: CostLedger) -> int:
     """Charge the depth of v's host as access cost; the tree is unchanged."""
-    d = depth(t.host[t._check_item(v)])
+    return _access(t, t._check_item(v), ledger)
+
+
+def _access(t: TreeState, v: int, ledger: CostLedger) -> int:
+    """access() for an item id the caller has already checked."""
+    d = depth(t.host[v])
     ledger.access_total += d
     return d
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -20,34 +21,101 @@ class WsAccumulator:
 class RankTable:
     """Last-access stamps per item; rank(v) = 1 + #items stamped more recently.
 
-    Items that were never accessed carry virtual stamps -(i+1) taken from
-    their initial server index i, so a fresh identity layout is an MRU tree
+    Stamps are slots in a window of n + n//4 + 1: stamps[v] is the slot of
+    v's last access, and clock the slot the next access takes.  A Fenwick
+    tree (Fenwick 1994) over the slots marks the n live ones, so a rank is
+    one prefix count and a record two point updates, both O(log n).  When
+    the clock reaches the end of the window the stamps are renumbered
+    0..n-1 in recency order, O(n) once every n//4 + 1 records.
+
+    Before any access, RankTable(n) ranks item i as i + 1, from_tree ranks
+    the item at server i as i + 1, and given stamps, which must be
+    distinct, keep their order.  So a fresh identity layout is an MRU tree
     and every argmax over ranks is tie-free.
     """
 
-    def __init__(self, n, stamps=None, clock=0):
+    def __init__(self, n, stamps=None):
         self.n = int(n)
+        self._size = self.n + self.n // 4 + 1
         if stamps is None:
-            self.stamps = -np.arange(1, self.n + 1, dtype=np.int64)
+            self.stamps = np.arange(self.n - 1, -1, -1, dtype=np.int64)
+            self._reset_fenwick()
         else:
-            self.stamps = np.asarray(stamps, dtype=np.int64).copy()
-        self.clock = int(clock)
+            stamps = np.asarray(stamps, dtype=np.int64)
+            if stamps.shape != (self.n,):
+                raise ValueError(f"need one stamp per item, got shape {stamps.shape} for n={self.n}")
+            # the Fenwick tree and the MRU predicate both rely on distinct stamps
+            if len(np.unique(stamps)) != self.n:
+                raise ValueError("stamps must be distinct")
+            self.stamps = stamps.copy()
+            self._renumber()
 
     @classmethod
     def from_tree(cls, t: TreeState):
-        """Virtual stamps matching the current placement: the item at server i gets -(i+1)."""
+        """Stamps matching the current placement: the item at server i has rank i+1."""
         rt = cls(t.n)
-        rt.stamps[t.guest] = -np.arange(1, t.n + 1, dtype=np.int64)
+        np.subtract(t.n - 1, t.host, out=rt.stamps)
         return rt
 
     def _check_item(self, v):
         return _check_index(v, self.n)
 
+    def _renumber(self):
+        """Restamp the items 0..n-1 from least to most recent."""
+        self.stamps[np.argsort(self.stamps)] = np.arange(self.n)
+        self._reset_fenwick()
+
+    def _reset_fenwick(self):
+        """Fenwick tree (int32 counts, indexed from 1) with slots 0..n-1 live; the clock at n."""
+        self._fen = memoryview(bytearray(_fresh_fenwick(self.n, self._size))).cast("i")
+        self.clock = self.n
+
+    def rank(self, v) -> int:
+        """Rank of item v, by one Fenwick prefix count over the older slots.
+
+        v must be an item id already checked: the module-level rank() and
+        record() check it, and Policy.serve checks its request once.
+        """
+        fen, i, older = self._fen, int(self.stamps[v]) + 1, 0
+        while i:
+            older += fen[i]
+            i &= i - 1
+        return self.n - older + 1
+
+    def _touch(self, v):
+        """Move item v to the clock slot, the most recent one."""
+        fen, size = self._fen, self._size
+        i = int(self.stamps[v]) + 1
+        while i <= size:
+            fen[i] -= 1
+            i += i & -i
+        i = self.clock + 1
+        while i <= size:
+            fen[i] += 1
+            i += i & -i
+        self.stamps[v] = self.clock
+        self.clock += 1
+        if self.clock == size:
+            self._renumber()
+
+
+@functools.lru_cache(maxsize=8)
+def _fresh_fenwick(n, size) -> bytes:
+    """Fenwick counts over `size` slots of which 0..n-1 are live, as int32 bytes.
+
+    Node i covers slots i - lowbit(i) .. i-1, so it counts lowbit(i) minus
+    the max(i - n, 0) dead slots at its top, floored at 0.  Every table of n
+    items starts from, and renumbers to, this same tree.
+    """
+    i = np.arange(size + 1, dtype=np.int32)
+    counts = i & -i
+    counts -= np.maximum(i - n, 0)
+    return np.maximum(counts, 0).tobytes()
+
 
 def rank(rt: RankTable, v) -> int:
     """1 + number of items accessed strictly more recently than v."""
-    v = rt._check_item(v)
-    return int((rt.stamps > rt.stamps[v]).sum()) + 1
+    return rt.rank(rt._check_item(v))
 
 
 def rank_order(rt: RankTable) -> np.ndarray:
@@ -67,12 +135,16 @@ def record(rt: RankTable, acc, v) -> int:
 
     Returns the pre-update rank.  Pass acc=None to skip working-set accounting.
     """
-    r = rank(rt, v)
+    return _record(rt, acc, rt._check_item(v))
+
+
+def _record(rt: RankTable, acc, v: int) -> int:
+    """record() for an item id the caller has already checked."""
+    r = rt.rank(v)
     if acc is not None:
         acc.total += math.log2(r)
         acc.terms += 1
-    rt.stamps[v] = rt.clock
-    rt.clock += 1
+    rt._touch(v)
     return r
 
 
@@ -82,15 +154,25 @@ def max_rank_item_at_depth(rt: RankTable, t: TreeState, lvl) -> int:
     return int(guests[np.argmin(rt.stamps[guests])])
 
 
+def _level_minima(t: TreeState, st) -> tuple[np.ndarray, bool]:
+    """Per-level minima of st (stamps by server) and whether the layout is MRU.
+
+    With distinct stamps every item sits at depth floor(log2(rank)) exactly
+    when each level's oldest stamp is newer than the newest one level deeper.
+    """
+    mins = np.minimum.reduceat(st, t.level_starts)
+    deeper_max = np.maximum.reduceat(st, t.level_starts[1:])
+    return mins, bool((mins[:-1] > deeper_max).all())
+
+
 def is_mru(t: TreeState, rt: RankTable) -> bool:
-    """True iff every item sits at depth floor(log2(rank)); t.depths[r-1] is floor(log2(r))."""
-    order = rank_order(rt)
-    return bool((t.depths[t.host[order]] == t.depths).all())
+    """True iff every item sits at depth floor(log2(rank))."""
+    return _level_minima(t, rt.stamps[t.guest])[1]
 
 
 def is_mru_beta(t: TreeState, rt: RankTable, beta) -> bool:
     """True iff every item sits at most beta levels below its MRU depth."""
-    return bool((t.depths[t.host] <= t.depths[ranks(rt) - 1] + int(beta)).all())
+    return bool((t.depths[t.host] - t.depths[ranks(rt) - 1] <= int(beta)).all())
 
 
 def bad_pairs(t: TreeState, rt: RankTable):

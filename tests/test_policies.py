@@ -11,12 +11,16 @@ from satree import (
     Policy,
     RankTable,
     TreeState,
+    access,
     build_static_mfu,
     expected_path_length,
     is_mru,
     rank,
+    record,
+    relocate_chain,
 )
 from satree.policies import POLICY_KINDS
+from satree.workset import rank_order
 
 
 class ScriptedRng:
@@ -166,6 +170,41 @@ def test_max_push_keeps_mru_under_fuzz():
         p.serve(int(v))
         assert is_mru(p.tree, p.ranks)
     p.tree.check_bijection()
+
+
+def argsort_max_push_serve(p, u):
+    """Max-push's serve as it was before the per-level minima: a full rank order per request,
+    the MRU check on it, and the item of rank 2^(i+1)-1 demoted from each level i < k."""
+    t, ledger = p.tree, p.ledger
+    order = rank_order(p.ranks)
+    if not (t.depths[t.host[order]] == t.depths).all():
+        raise ValueError("max-push requires an MRU tree")
+    adjust0 = ledger.adjust_total
+    k = access(t, u, ledger)
+    if k > 0:
+        demoted = [int(order[(1 << (i + 1)) - 2]) for i in range(k)]
+        dests = [int(t.host[u])] + [int(t.host[w]) for w in demoted[:0:-1]]
+        moves = list(zip(demoted[::-1], dests)) + [(u, int(t.host[demoted[0]]))]
+        relocate_chain(t, moves, ledger)
+    return k, ledger.adjust_total - adjust0, record(p.ranks, p.ws, u), None
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_max_push_matches_argsort_rule(d, seed, data):
+    n = (1 << d) - 1
+    fast, slow = Policy("max-push", n), Policy("max-push", n)
+    # start both from the same random MRU layout: ranks 2^i .. 2^(i+1)-1 in any order at depth i
+    rng = np.random.default_rng(seed)
+    stamps = rng.permutation(n)
+    order = np.argsort(-stamps)
+    guests = np.concatenate([rng.permutation(order[(1 << i) - 1:(1 << (i + 1)) - 1]) for i in range(d)])
+    for p in (fast, slow):
+        p.tree, p.ranks = TreeState(n, guests=guests), RankTable(n, stamps=stamps)
+    for u in data.draw(st.lists(st.integers(0, n - 1), max_size=150)):
+        assert fast.serve(u) == argsort_max_push_serve(slow, u)
+    assert fast.tree.guest.tolist() == slow.tree.guest.tolist()
+    assert fast.ws.total == slow.ws.total and fast.ledger.cost_total == slow.ledger.cost_total
 
 
 def test_fixed_policy_never_adjusts():

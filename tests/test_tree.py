@@ -4,6 +4,8 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satree import (
     CostLedger,
@@ -81,6 +83,39 @@ def test_tree_distance_matches_bfs_oracle():
         assert tree_distance(a, b) == bfs_distance(31, int(a), int(b))
 
 
+def parent_walk_distance(a, b):
+    """The parent-walking tree_distance that LCA arithmetic replaced."""
+    hops = 0
+    da, db = depth(a), depth(b)
+    while da > db:
+        a, da, hops = (a - 1) // 2, da - 1, hops + 1
+    while db > da:
+        b, db, hops = (b - 1) // 2, db - 1, hops + 1
+    while a != b:
+        a, b, hops = (a - 1) // 2, (b - 1) // 2, hops + 2
+    return hops
+
+
+def test_tree_distance_matches_path_on_every_pair():
+    for a in range(127):
+        for b in range(127):
+            assert tree_distance(a, b) == len(tree_path(a, b)) - 1 == parent_walk_distance(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.integers(0, (1 << 17) - 2), b=st.integers(0, (1 << 17) - 2))
+def test_tree_distance_matches_path_on_a_large_tree(a, b):
+    assert tree_distance(a, b) == len(tree_path(a, b)) - 1 == parent_walk_distance(a, b)
+    assert tree_distance(np.int64(a), b) == tree_distance(b, a)
+
+
+def test_tree_distance_rejects_negative_servers():
+    with pytest.raises(ValueError):
+        tree_distance(-1, 3)
+    with pytest.raises(ValueError):
+        tree_distance(3, -2)
+
+
 def test_routing_header_examples():
     t = TreeState(7)
     assert routing_header(t, 0) == ""
@@ -118,6 +153,24 @@ def test_swap_exchanges_with_parent():
     assert led.adjust_total == 2
     with pytest.raises(ValueError):
         swap(t, 0, led)
+
+
+def test_swap_rejects_fractional_server():
+    t = TreeState(7)
+    led = CostLedger()
+    with pytest.raises(ValueError):
+        swap(t, 1.9, led)
+    assert t.guest.tolist() == list(range(7)) and led.adjust_total == 0
+    swap(t, np.int64(2), led)  # numpy integers are exact integers
+    assert t.guest.tolist() == [2, 1, 0, 3, 4, 5, 6]
+
+
+def test_check_bijection_raises_on_broken_state():
+    t = TreeState(7)
+    t.check_bijection()
+    t.host[3] = 4  # item 3 now claims item 4's server
+    with pytest.raises(RuntimeError):
+        t.check_bijection()
 
 
 def test_interchange_common_branch():
@@ -189,6 +242,15 @@ def test_relocate_chain_rejects_occupied_destination():
         relocate_chain(t, [(0, 3), (5, 0)], led)  # chain never frees server 3
     # failed chains must not mutate the tree
     assert t.guest.tolist() == list(range(7))
+
+
+def test_relocate_chain_rejects_fractional_servers():
+    t = TreeState(7)
+    led = CostLedger()
+    with pytest.raises(ValueError):
+        relocate_chain(t, [(1, 2.7), (2, 1.2)], led)
+    assert t.guest.tolist() == list(range(7)) and t.host.tolist() == list(range(7))
+    assert led.adjust_total == 0
 
 
 def test_ledger_totals_are_monotone_sums():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satree import (
     RankTable,
@@ -17,6 +19,30 @@ from satree import (
     ranks,
     record,
 )
+from satree.workset import rank_order
+
+
+class ScanRanks:
+    """The rank table the Fenwick tree replaced: virtual stamps -(i+1), a clock, an O(n) scan."""
+
+    def __init__(self, n):
+        self.stamps = -np.arange(1, n + 1, dtype=np.int64)
+        self.clock = 0
+
+    def rank(self, v):
+        return int((self.stamps > self.stamps[v]).sum()) + 1
+
+    def record(self, v):
+        r = self.rank(v)
+        self.stamps[v] = self.clock
+        self.clock += 1
+        return r
+
+
+def argsort_is_mru(t, rt):
+    """The MRU predicate the per-level minima replaced: rank-r item at depth floor(log2(r))."""
+    order = np.argsort(-rt.stamps)
+    return bool((t.depths[t.host[order]] == t.depths).all())
 
 
 def test_fresh_table_ranks_follow_initial_servers():
@@ -78,6 +104,31 @@ def test_ranks_always_a_permutation():
         assert len(set(rt.stamps.tolist())) == 15
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 3, 7, 255]), data=st.data())
+def test_fenwick_ranks_match_scan(n, data):
+    # the stamps are renumbered every n//4 + 1 records; cross that at least three times
+    laps = 3 * (n // 4 + 1)
+    item = st.integers(0, n - 1)
+    steps = data.draw(st.lists(st.tuples(item, item), min_size=laps, max_size=laps + 40))
+    rt, ref = RankTable(n), ScanRanks(n)
+    acc = WsAccumulator()
+    for v, probe in steps:
+        assert record(rt, acc, v) == ref.record(v)
+        assert rank(rt, probe) == ref.rank(probe) == int((rt.stamps > rt.stamps[probe]).sum()) + 1
+    assert [rank(rt, v) for v in range(n)] == [ref.rank(v) for v in range(n)] == ranks(rt).tolist()
+    assert 0 <= rt.stamps.min() and rt.stamps.max() < rt.clock
+
+
+def test_stamps_must_be_distinct():
+    with pytest.raises(ValueError, match="distinct"):
+        RankTable(3, stamps=[5, 2, 5])
+    with pytest.raises(ValueError):
+        RankTable(3, stamps=[0, 1])
+    rt = RankTable(3, stamps=[40, -7, 12])  # any distinct stamps keep their order
+    assert ranks(rt).tolist() == [1, 3, 2]
+
+
 def test_order_sensitivity_of_ws_total():
     def total(seq):
         rt = RankTable(7)
@@ -98,6 +149,26 @@ def test_is_mru_fresh_identity_and_after_cross_level_swap():
     g[1], g[8] = g[8], g[1]
     t2 = TreeState(15, guests=g)
     assert not is_mru(t2, rt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["mru", "swap", "random"]))
+def test_level_minima_mru_predicate_matches_argsort(d, seed, layout):
+    n = (1 << d) - 1
+    rng = np.random.default_rng(seed)
+    rt = RankTable(n, stamps=rng.permutation(4 * n)[:n])
+    order = rank_order(rt)
+    # an MRU layout: the items of ranks 2^i .. 2^(i+1)-1 in any order at depth i
+    guests = np.concatenate([rng.permutation(order[(1 << i) - 1:(1 << (i + 1)) - 1]) for i in range(d)])
+    if layout == "swap":
+        a, b = rng.integers(0, n, size=2)
+        guests[a], guests[b] = guests[b], guests[a]
+    elif layout == "random":
+        guests = rng.permutation(n)
+    t = TreeState(n, guests=guests)
+    assert is_mru(t, rt) == argsort_is_mru(t, rt)
+    if layout == "mru":
+        assert is_mru(t, rt)
 
 
 def test_is_mru_beta_slack():

@@ -12,8 +12,6 @@ from .bench import (
     RunConfig,
     RunReport,
     emit,
-    measure_depth_by_rank,
-    measure_w,
     random_push_rank_stats,
     read_reports_csv,
     run,

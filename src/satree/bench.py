@@ -164,20 +164,6 @@ def random_push_rank_stats(n, m, seeds, warmup=0):
     return {"depth_sum": depth_sum, "depth_cnt": depth_cnt, "w_sum": w_sum, "w_cnt": w_cnt}
 
 
-def measure_depth_by_rank(n, m, seeds, warmup=0) -> dict:
-    """Mean random-push depth per pre-access rank, aggregated over seeds."""
-    stats = random_push_rank_stats(n, m, seeds, warmup)
-    cnt, tot = stats["depth_cnt"], stats["depth_sum"]
-    return {r: tot[r] / cnt[r] for r in range(1, n + 1) if cnt[r]}
-
-
-def measure_w(n, m, seeds, warmup=0) -> dict:
-    """Mean count of deeper-targeted requests between consecutive accesses, per rank."""
-    stats = random_push_rank_stats(n, m, seeds, warmup)
-    cnt, tot = stats["w_cnt"], stats["w_sum"]
-    return {r: tot[r] / cnt[r] for r in range(1, n + 1) if cnt[r]}
-
-
 def _format_cell(value):
     if value is None:
         return ""
@@ -186,35 +172,25 @@ def _format_cell(value):
     return str(value)
 
 
-def _report_row(report: RunReport):
-    return [_format_cell(getattr(report, name)) for name in CSV_FIELDS]
+def emit(rows, fmt, row_type=RunReport) -> str:
+    """One row or a list of rows, each a row_type dataclass, as CSV or JSON text.
 
-
-def reports_to_csv(reports) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for rep in reports:
-        writer.writerow(_report_row(rep))
-    return buf.getvalue()
-
-
-def reports_to_json(reports, single=False) -> str:
-    payload = asdict(reports[0]) if single and len(reports) == 1 else [asdict(r) for r in reports]
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def emit(report, fmt) -> str:
-    """One report or a list of reports as CSV or JSON text."""
-    reports = [report] if isinstance(report, RunReport) else list(report)
-    single = isinstance(report, RunReport)
+    CSV starts with row_type's field names, so an empty list is the header
+    alone; JSON is an object for a single row and an array for a list.
+    """
+    single = isinstance(rows, row_type)
+    rows = [rows] if single else list(rows)
     if fmt == "csv":
-        text = reports_to_csv(reports)
-    elif fmt == "json":
-        text = reports_to_json(reports, single=single)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return text
+        names = [f.name for f in fields(row_type)]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows([_format_cell(getattr(row, name)) for name in names] for row in rows)
+        return buf.getvalue()
+    if fmt == "json":
+        payload = asdict(rows[0]) if single else [asdict(row) for row in rows]
+        return json.dumps(payload, indent=2) + "\n"
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def _parse_cell(name, text):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,20 +15,23 @@ from .oracle import check_supported, opt_cost
 from .policies import Policy
 
 
-def _add_common(p):
-    p.add_argument("--algo", default="move-half", help="policy, or comma list for matrix")
-    p.add_argument("--n", type=int, default=15, help="item count, must be 2^d - 1")
-    p.add_argument("--workload", default="uniform", help="workload kind, or comma list for matrix")
-    p.add_argument("--m", type=int, default=1000, help="request count")
-    p.add_argument("--alpha", type=float, default=1.0, help="zipf exponent")
-    p.add_argument("--subset", type=int, default=1, help="cyclic working-set size")
-    p.add_argument("--trace", default=None, help="trace file for the trace workload")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--seeds", default=None, help="comma-separated seed list")
-    p.add_argument("--out", default=None, help="output path (stdout when omitted)")
-    p.add_argument("--format", default="csv", choices=("csv", "json"))
-    p.add_argument("--check-mru", action="store_true", help="count MRU violations per run")
-    p.add_argument("--oracle", action="store_true", help="attach the exact offline optimum (n in 3/7)")
+# every option a subcommand may take; each subcommand takes only the ones it reads
+_OPTIONS = {
+    "--algo": dict(default="move-half", help="policy, or comma list for matrix"),
+    "--n": dict(type=int, default=15, help="item count, must be 2^d - 1"),
+    "--workload": dict(default="uniform", help="workload kind, or comma list for matrix"),
+    "--m": dict(type=int, default=1000, help="request count"),
+    "--alpha": dict(type=float, default=1.0, help="zipf exponent"),
+    "--subset": dict(type=int, default=1, help="cyclic working-set size"),
+    "--trace": dict(default=None, help="trace file for the trace workload"),
+    "--seed": dict(type=int, default=0, help="master seed"),
+    "--seeds": dict(default=None, help="comma-separated seed list"),
+    "--out": dict(default=None, help="output path (stdout when omitted)"),
+    "--format": dict(default="csv", choices=("csv", "json")),
+    "--check-mru": dict(action="store_true", help="count MRU violations per run"),
+    "--oracle": dict(action="store_true", help="attach the exact offline optimum (n in 3/7)"),
+}
+_RUN_OPTIONS = tuple(name for name in _OPTIONS if name != "--seeds")
 
 
 def _config(args, algo, workload, seed):
@@ -75,29 +79,30 @@ def _seed_list(args):
     return [args.seed]
 
 
+@dataclass
+class DepthStatsRow:
+    """One rank's line of depth-stats output; the field names are the CSV header."""
+
+    rank: int
+    depth_samples: int
+    mean_depth: float
+    depth_bound: float
+    w_samples: int
+    mean_w: float | None
+    w_bound: int
+
+
 def _cmd_depth_stats(args):
-    seeds = _seed_list(args)
-    warmup = args.m // 10
-    stats = random_push_rank_stats(args.n, args.m, seeds, warmup=warmup)
-    lines = ["rank,depth_samples,mean_depth,depth_bound,w_samples,mean_w,w_bound"]
+    stats = random_push_rank_stats(args.n, args.m, _seed_list(args), warmup=args.m // 10)
     rows = []
     for r in range(1, args.n + 1):
         dc, wc = int(stats["depth_cnt"][r]), int(stats["w_cnt"][r])
         if dc == 0:
             continue
-        mean_depth = stats["depth_sum"][r] / dc
         mean_w = stats["w_sum"][r] / wc if wc else None
-        rows.append((r, dc, mean_depth, float(np.log2(r) + 3), wc, mean_w, 2 * r - 1))
-    if args.format == "json":
-        import json
-
-        keys = ("rank", "depth_samples", "mean_depth", "depth_bound", "w_samples", "mean_w", "w_bound")
-        _write(json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n", args.out)
-    else:
-        for r, dc, md, db, wc, mw, wb in rows:
-            mw_cell = f"{mw:.6g}" if mw is not None else ""
-            lines.append(f"{r},{dc},{md:.6g},{db:.6g},{wc},{mw_cell},{wb}")
-        _write("\n".join(lines) + "\n", args.out)
+        rows.append(DepthStatsRow(r, dc, stats["depth_sum"][r] / dc, float(np.log2(r) + 3),
+                                  wc, mean_w, 2 * r - 1))
+    _write(emit(rows, args.format, row_type=DepthStatsRow), args.out)
     return 0
 
 
@@ -168,14 +173,18 @@ def build_parser():
         description="Self-adjusting complete-tree benchmarks under the swap-cost model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "simulate one policy on one workload"),
-        ("matrix", "simulate a policy x workload matrix"),
-        ("depth-stats", "random-push per-rank depth and deeper-request statistics"),
-        ("markov-check", "exact push-down chain checks"),
-        ("oracle-check", "competitive ratios against the exact offline optimum"),
+    for name, help_text, options in (
+        ("run", "simulate one policy on one workload", _RUN_OPTIONS),
+        ("matrix", "simulate a policy x workload matrix", _RUN_OPTIONS),
+        ("depth-stats", "random-push per-rank depth and deeper-request statistics",
+         ("--n", "--m", "--seed", "--seeds", "--out", "--format")),
+        ("markov-check", "exact push-down chain checks", ()),
+        ("oracle-check", "competitive ratios against the exact offline optimum",
+         ("--algo", "--n", "--m", "--seed")),
     ):
-        _add_common(sub.add_parser(name, help=help_text))
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 

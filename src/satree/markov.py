@@ -24,6 +24,8 @@ class DepthDistribution:
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.probs.ndim != 1 or self.probs.size == 0:
             raise ValueError("probs must be a non-empty 1-d vector")
+        if not np.isfinite(self.probs).all():
+            raise ValueError("probs must be finite")
         if (self.probs < 0).any() or abs(float(self.probs.sum()) - 1.0) > 1e-12:
             raise ValueError("probs must be non-negative and sum to 1")
 

@@ -24,6 +24,8 @@ def _check_freq(freq, n):
     freq = np.asarray(freq, dtype=np.float64)
     if freq.shape != (n,):
         raise ValueError(f"need one frequency per item, got shape {freq.shape} for n={n}")
+    if not np.isfinite(freq).all():
+        raise ValueError("frequencies must be finite")
     if (freq < 0).any():
         raise ValueError("frequencies must be non-negative")
     if abs(float(freq.sum()) - 1.0) > 1e-9:
@@ -38,8 +40,8 @@ def build_static_mfu(freq) -> TreeState:
     if not (n >= 1 and (n & (n + 1)) == 0):
         raise ValueError(f"item count must be 2^d - 1 for d >= 1, got {n}")
     freq = _check_freq(freq, n)
-    order = sorted(range(n), key=lambda v: (-freq[v], v))
-    return TreeState(n, guests=order)
+    # a stable sort keeps equal frequencies in item id order
+    return TreeState(n, guests=np.argsort(-freq, kind="stable"))
 
 
 def expected_path_length(t: TreeState, freq) -> float:

@@ -96,9 +96,11 @@ class TreeState:
         if guests is None:
             self.guest = np.arange(self.n, dtype=np.int64)
         else:
-            self.guest = np.asarray(guests, dtype=np.int64).copy()
-            if self.guest.shape != (self.n,) or sorted(self.guest.tolist()) != list(range(self.n)):
-                raise ValueError("guests must be a permutation of 0..n-1")
+            guests = np.asarray(guests)
+            if (guests.dtype.kind not in "iu" or guests.shape != (self.n,)
+                    or not np.array_equal(np.sort(guests), np.arange(self.n))):
+                raise ValueError("guests must be an integer permutation of 0..n-1")
+            self.guest = guests.astype(np.int64)
         self.host = np.empty(self.n, dtype=np.int64)
         self.host[self.guest] = np.arange(self.n, dtype=np.int64)
         self.num_levels = self.n.bit_length()
@@ -142,6 +144,8 @@ def follow_header(t: TreeState, bits) -> int:
     """Server reached by walking the given bits down from the root."""
     s = 0
     for b in bits:
+        if b not in ("0", "1"):
+            raise ValueError(f"routing header bits must be '0' or '1', got {b!r}")
         s = 2 * s + 1 + (b == "1")
     return t._check_server(s)
 

@@ -24,8 +24,8 @@ class WorkloadSpec:
             raise ValueError(f"unknown workload kind {self.kind!r}")
         if self.m < 0:
             raise ValueError("request count must be >= 0")
-        if self.kind == "zipf" and self.alpha < 0:
-            raise ValueError("zipf exponent must be >= 0")
+        if self.kind == "zipf" and not 0 <= self.alpha < np.inf:
+            raise ValueError(f"zipf exponent must be finite and >= 0, got {self.alpha!r}")
         if self.kind == "cyclic" and not 1 <= self.subset_size <= self.n:
             raise ValueError("cyclic subset size must lie in [1, n]")
         if self.kind == "trace" and not self.path:

@@ -1,7 +1,6 @@
 """Run harness, instrumented statistics, and report serialization."""
 
 import json
-import math
 
 import pytest
 
@@ -10,8 +9,6 @@ from satree import (
     RunConfig,
     RunReport,
     emit,
-    measure_depth_by_rank,
-    measure_w,
     read_reports_csv,
     run,
     workload_frequencies,
@@ -132,19 +129,6 @@ def test_emit_rejects_unknown_format():
     rep = run(RunConfig(algo="fixed", n=7, m=4))
     with pytest.raises(ValueError):
         emit(rep, "xml")
-
-
-def test_measure_depth_by_rank_basics():
-    means = measure_depth_by_rank(31, 3000, seeds=[0, 1], warmup=500)
-    assert means[1] == 0.0  # the just-accessed item sits at the root
-    assert means[2] <= math.log2(2) + 3
-    assert set(means) <= set(range(1, 32))
-
-
-def test_measure_w_basics():
-    means = measure_w(31, 3000, seeds=[0, 1], warmup=500)
-    assert means[1] == 0.0  # no intervening requests at rank 1
-    assert means[2] <= 3.0 + 0.5
 
 
 def test_rank_stats_match_brute_force_oracle():

@@ -1,9 +1,16 @@
 """CLI surface: subcommands, output formats, exit codes."""
 
+import csv
 import json
+import shlex
+from pathlib import Path
+
+import pytest
 
 from satree.bench import read_reports_csv
-from satree.cli import main
+from satree.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_run_writes_csv(tmp_path):
@@ -92,3 +99,65 @@ def test_oracle_check_small(capsys):
     rc = main(["oracle-check", "--n", "3", "--m", "4", "--algo", "move-half"])
     assert rc == 0
     assert "max cost/opt" in capsys.readouterr().out
+
+
+def test_readme_cli_commands_parse():
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```sh", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("satree ")]
+    assert {argv[0] for argv in commands} == {
+        "run", "matrix", "depth-stats", "markov-check", "oracle-check",
+    }
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--seeds", "0,1"],
+    ["matrix", "--seeds", "0,1"],
+    ["depth-stats", "--algo", "max-push"],
+    ["markov-check", "--out", "x.csv"],
+    ["oracle-check", "--format", "json"],
+])
+def test_subcommand_rejects_options_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_depth_stats_csv_and_json_agree(tmp_path):
+    argv = ["depth-stats", "--n", "15", "--m", "2000", "--seeds", "0,1"]
+    assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 0
+    assert main(argv + ["--format", "json", "--out", str(tmp_path / "s.json")]) == 0
+    with open(tmp_path / "s.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    records = json.loads((tmp_path / "s.json").read_text())
+    assert len(rows) == len(records) > 0
+    for row, record in zip(rows, records):
+        assert list(row) == list(record)
+        for name, cell in row.items():
+            value = record[name]
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, float):
+                assert float(cell) == pytest.approx(value, rel=1e-5)
+            else:
+                assert cell == str(value)
+
+
+def test_empty_outputs_keep_the_csv_header(capsys):
+    assert main(["depth-stats", "--m", "0"]) == 0
+    assert capsys.readouterr().out == (
+        "rank,depth_samples,mean_depth,depth_bound,w_samples,mean_w,w_bound\n")
+    assert main(["depth-stats", "--m", "0", "--format", "json"]) == 0
+    assert capsys.readouterr().out == "[]\n"
+    assert main(["matrix", "--algo", ""]) == 0
+    assert capsys.readouterr().out.startswith("policy,workload,n,m,seed,")
+
+
+def test_non_finite_zipf_exponent_fails(capsys):
+    rc = main(["run", "--workload", "zipf", "--alpha", "nan", "--n", "7", "--m", "10"])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err

@@ -98,3 +98,6 @@ def test_depth_distribution_validation():
         DepthDistribution([1.5, -0.5])
     with pytest.raises(ValueError):
         DepthDistribution([])
+    for bad in ([np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            DepthDistribution(bad)

@@ -255,6 +255,30 @@ def test_static_mfu_validation():
         build_static_mfu([1.5, -0.3, -0.2])
 
 
+@pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [1.0, np.nan, 0.0]])
+def test_static_mfu_rejects_non_finite_frequencies(bad):
+    # a NaN sum compares false against the 1e-9 tolerance, so the sum test alone let NaN in
+    with pytest.raises(ValueError, match="finite"):
+        build_static_mfu(bad)
+    with pytest.raises(ValueError, match="finite"):
+        Policy("static-mfu", 3, freq=bad)
+    with pytest.raises(ValueError, match="finite"):
+        expected_path_length(TreeState(3), bad)
+
+
+def test_static_mfu_order_matches_sort_rule():
+    # descending frequency, ties by item id: the Python sort the stable argsort replaced
+    rng = np.random.default_rng(29)
+    for n in (1, 3, 15, 255):
+        for levels in (1, 2, 4, n):
+            freq = rng.integers(0, levels, size=n).astype(np.float64)
+            if freq.sum() == 0:
+                freq[:] = 1.0
+            freq /= freq.sum()
+            order = sorted(range(n), key=lambda v: (-freq[v], v))
+            assert build_static_mfu(freq).guest.tolist() == order
+
+
 def test_expected_path_length_examples():
     t = TreeState(3)
     assert expected_path_length(t, [1.0, 0.0, 0.0]) == 0.0

@@ -67,6 +67,10 @@ def test_tree_size_validation():
         TreeState(good)
     with pytest.raises(ValueError):
         TreeState(3, guests=[0, 0, 2])
+    for bad in ([0, 1.9, 2], [0.0, 1.0, 2.0], [0, 1, 3], [-1, 0, 1], [[0, 1, 2]]):
+        with pytest.raises(ValueError, match="integer permutation"):
+            TreeState(3, guests=bad)
+    assert TreeState(3, guests=np.array([2, 0, 1], dtype=np.uint8)).guest.tolist() == [2, 0, 1]
 
 
 def test_tree_distance_examples():
@@ -127,6 +131,9 @@ def test_routing_header_round_trip():
     t = TreeState(15, guests=np.random.default_rng(3).permutation(15))
     for v in range(15):
         assert follow_header(t, routing_header(t, v)) == int(t.host[v])
+    for bad in ("2x", "1 ", "01b"):
+        with pytest.raises(ValueError, match="bits"):
+            follow_header(t, bad)
 
 
 def test_access_charges_depth_and_leaves_tree_alone():

@@ -41,6 +41,9 @@ def test_spec_validation():
         WorkloadSpec(kind="cyclic", n=7, m=10, subset_size=9)
     with pytest.raises(ValueError):
         WorkloadSpec(kind="zipf", n=7, m=10, alpha=-1.0)
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            WorkloadSpec(kind="zipf", n=7, m=10, alpha=alpha)
     with pytest.raises(ValueError):
         WorkloadSpec(kind="trace", n=7, m=10)
     with pytest.raises(ValueError):

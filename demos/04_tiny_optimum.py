@@ -5,8 +5,9 @@ with exact swap distances, exhaustively over every length-6 sequence.
 """
 
 import itertools
+import math
 
-from satree import Policy, RankTable, WsAccumulator, opt_cost, record
+from satree import Policy, RankTable, opt_cost, record
 
 INIT = (0, 1, 2)
 
@@ -15,15 +16,15 @@ floor_tightness = float("inf")
 for seq in itertools.product(range(3), repeat=6):
     opt = opt_cost(list(seq), INIT)
     p = Policy("move-half", 3)
-    rt, acc = RankTable(3), WsAccumulator()
+    rt, ws = RankTable(3), 0.0
     for v in seq:
         p.serve(v)
-        record(rt, acc, v)
+        ws += math.log2(record(rt, v))
     if opt:
         ratio = p.ledger.cost_total / opt
         if ratio > worst_ratio:
             worst_ratio, worst_seq = ratio, seq
-        floor_tightness = min(floor_tightness, opt / (acc.total / 4))
+        floor_tightness = min(floor_tightness, opt / (ws / 4))
 
 print("exhaustive n=3, all 3^6 = 729 sequences of length 6")
 print(f"  worst move-half cost / optimum: {worst_ratio:.3f} at {worst_seq}")

@@ -13,7 +13,6 @@ from .bench import (
     RunReport,
     emit,
     random_push_rank_stats,
-    read_reports_csv,
     run,
     workload_frequencies,
 )
@@ -36,12 +35,10 @@ from .policies import (
 from .tree import (
     CostLedger,
     TreeState,
-    access,
     depth,
     interchange,
     relocate_chain,
     routing_header,
-    swap,
     tree_distance,
     tree_path,
 )

@@ -47,9 +47,6 @@ class RunReport:
     opt_cost: int | None = None
 
 
-CSV_FIELDS = [f.name for f in fields(RunReport)]
-
-
 def workload_frequencies(spec: WorkloadSpec) -> np.ndarray:
     """Long-run item frequencies implied by a workload spec (drives static-mfu)."""
     if spec.kind == "uniform":
@@ -129,6 +126,9 @@ def random_push_rank_stats(n, m, seeds, warmup=0):
     against the same rank.  Returns per-rank sums and sample counts summed
     over all seeds, skipping the first `warmup` requests of each run.
     """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     depth_sum = np.zeros(n + 1)
     depth_cnt = np.zeros(n + 1, dtype=np.int64)
     w_sum = np.zeros(n + 1)
@@ -191,27 +191,3 @@ def emit(rows, fmt, row_type=RunReport) -> str:
         payload = asdict(rows[0]) if single else [asdict(row) for row in rows]
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def _parse_cell(name, text):
-    if text == "":
-        return None
-    if name in ("ws_bound", "ratio_cost_over_ws"):
-        return float(text)
-    if name in ("policy", "workload"):
-        return text
-    return int(text)
-
-
-def read_reports_csv(path) -> list[RunReport]:
-    """Parse a CSV produced by emit back into reports."""
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_FIELDS:
-            raise ValueError(f"unexpected CSV header in {path}")
-        out = []
-        for row in reader:
-            kwargs = {name: _parse_cell(name, cell) for name, cell in zip(header, row)}
-            out.append(RunReport(**kwargs))
-    return out

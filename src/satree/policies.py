@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .tree import CostLedger, TreeState, _access, depth, interchange, relocate_chain, tree_distance
-from .workset import RankTable, WsAccumulator, _level_minima, _record, max_rank_item_at_depth
+from .tree import CostLedger, TreeState, depth, interchange, relocate_chain, tree_distance
+from .workset import RankTable, WsAccumulator, _level_minima, max_rank_item_at_depth
 
 POLICY_KINDS = ("move-half", "random-push", "max-push", "static-mfu", "fixed")
 # the paper's per-request cost bounds, as multiples of the request's access cost
@@ -47,7 +49,74 @@ def build_static_mfu(freq) -> TreeState:
 def expected_path_length(t: TreeState, freq) -> float:
     """Mean access depth under the given item frequencies."""
     freq = _check_freq(freq, t.n)
-    return float(sum(freq[v] * depth(t.host[v]) for v in range(t.n)))
+    # accumulate adds in item order, so the float equals the sequential sum bit for bit
+    return float(np.add.accumulate(freq * t.depths[t.host])[-1])
+
+
+def _move_half(p, u, k):
+    """Interchange u with the max-rank item at depth k//2."""
+    if k == 0:
+        return 0, None
+    v = max_rank_item_at_depth(p.ranks, p.tree, k // 2)
+    if v == u:
+        raise RuntimeError(f"move-half chose the requested item {u} as its partner")
+    return interchange(p.tree, u, v), None
+
+
+def _random_push(p, u, k):
+    """Promote u to the root and push one random root-to-depth-k path down one level.
+
+    The item displaced off the end of the path fills u's vacated server.
+    """
+    if k == 0:
+        return 0, None
+    t = p.tree
+    s = int(t.host[u])
+    path = sample_push_path(p.rng, k)
+    old = [int(t.guest[q]) for q in path]
+    t.guest[0] = u
+    t.host[u] = 0
+    for j in range(k):
+        t.guest[path[j + 1]] = old[j]
+        t.host[old[j]] = path[j + 1]
+    extra = 0
+    if path[k] != s:
+        w = old[k]
+        t.guest[s] = w
+        t.host[w] = s
+        extra = tree_distance(path[k], s)
+    # u up to the root, the path pushed down, plus the end-of-path item's trip
+    return k + k + extra, path
+
+
+def _max_push(p, u, k):
+    """Demote each level's max-rank item one level, restoring the exact MRU layout.
+
+    Each relocation may cross the whole tree, so the cost grows like k^2/2.
+    Raises ValueError, before anything moves, unless the tree is MRU.
+    """
+    t = p.tree
+    st = p.ranks.stamps[t.guest]
+    mins, mru = _level_minima(t, st)
+    if not mru:
+        raise ValueError("max-push requires an MRU tree")
+    if k == 0:
+        return 0, None
+    # a level's max-rank item holds its minimum stamp, and only it, as stamps are distinct
+    top = (1 << k) - 1
+    lru = np.flatnonzero(st[:top] == mins[t.depths[:top]]).tolist()  # a server per level
+    demoted = t.guest[lru].tolist()
+    dests = [int(t.host[u])] + lru[:0:-1]
+    moves = list(zip(demoted[::-1], dests)) + [(u, lru[0])]
+    return relocate_chain(t, moves), None
+
+
+def _stay(p, u, k):
+    return 0, None
+
+
+_ADJUST = {"move-half": _move_half, "random-push": _random_push, "max-push": _max_push,
+           "static-mfu": _stay, "fixed": _stay}
 
 
 class Policy:
@@ -76,58 +145,22 @@ class Policy:
         access is u's depth and rank its recency rank when the request
         arrives, adjust the swaps spent relocating, and path random-push's
         sampled push path (None for the other kinds, or when u is at the
-        root).  A rejected request (an item that is not an integer in
-        0..n-1, or max-push on a tree that is not MRU) raises ValueError
-        and changes nothing.
+        root).  This is the only place that charges the ledger and the
+        working-set total.  A rejected request (an item that is not an
+        integer in 0..n-1, or max-push on a tree that is not MRU) raises
+        ValueError and changes nothing; a request over its kind's cost
+        bound raises RuntimeError with the tree moved but nothing charged.
         """
-        t, ledger = self.tree, self.ledger
-        u = t._check_item(u)
-        if self.kind == "max-push":
-            st = self.ranks.stamps[t.guest]
-            mins, mru = _level_minima(t, st)
-            if not mru:
-                raise ValueError("max-push requires an MRU tree")
-        adjust0 = ledger.adjust_total
-        k = _access(t, u, ledger)
-        path = None
-        if k > 0 and self.kind == "move-half":
-            # interchange u with the max-rank item at depth k//2
-            v = max_rank_item_at_depth(self.ranks, t, k // 2)
-            if v == u:
-                raise RuntimeError(f"move-half chose the requested item {u} as its partner")
-            interchange(t, u, v, ledger)
-        elif k > 0 and self.kind == "random-push":
-            # promote u to the root and push one random root-to-depth-k path down one
-            # level; the item displaced off the end of the path fills u's vacated server
-            s = int(t.host[u])
-            path = sample_push_path(self.rng, k)
-            old = [int(t.guest[p]) for p in path]
-            t.guest[0] = u
-            t.host[u] = 0
-            for j in range(k):
-                t.guest[path[j + 1]] = old[j]
-                t.host[old[j]] = path[j + 1]
-            extra = 0
-            if path[k] != s:
-                w = old[k]
-                t.guest[s] = w
-                t.host[w] = s
-                extra = tree_distance(path[k], s)
-            # u up to the root, the path pushed down, plus the end-of-path item's trip
-            ledger.adjust_total += k + k + extra
-        elif k > 0 and self.kind == "max-push":
-            # demote each level's max-rank item one level, restoring the exact MRU layout;
-            # each relocation may cross the whole tree, so the cost grows like k^2/2.
-            # A level's max-rank item holds its minimum stamp, and only it, as stamps are distinct
-            top = (1 << k) - 1
-            lru = np.flatnonzero(st[:top] == mins[t.depths[:top]]).tolist()  # a server per level
-            demoted = t.guest[lru].tolist()
-            dests = [int(t.host[u])] + lru[:0:-1]
-            moves = list(zip(demoted[::-1], dests)) + [(u, lru[0])]
-            relocate_chain(t, moves, ledger)
-        adjust = ledger.adjust_total - adjust0
+        u = self.tree._check_item(u)
+        k = depth(self.tree.host[u])
+        adjust, path = _ADJUST[self.kind](self, u, k)
         factor = _COST_FACTOR.get(self.kind)
         if factor is not None and k + adjust > factor * k:
             raise RuntimeError(f"{self.kind} request for item {u} cost {k + adjust}, "
                                f"above {factor}x its access {k}")
-        return k, adjust, _record(self.ranks, self.ws, u), path
+        r = self.ranks.rank(u)
+        self.ranks._touch(u)
+        self.ledger.access_total += k
+        self.ledger.adjust_total += adjust
+        self.ws.total += math.log2(r)
+        return k, adjust, r, path

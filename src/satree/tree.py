@@ -69,7 +69,7 @@ def tree_distance(a, b) -> int:
 
 
 class CostLedger:
-    """Running access/adjustment swap totals; Policy.serve returns each request's share."""
+    """Running access/adjustment swap totals, charged by Policy.serve alone."""
 
     def __init__(self):
         self.access_total = 0
@@ -150,37 +150,13 @@ def follow_header(t: TreeState, bits) -> int:
     return t._check_server(s)
 
 
-def access(t: TreeState, v, ledger: CostLedger) -> int:
-    """Charge the depth of v's host as access cost; the tree is unchanged."""
-    return _access(t, t._check_item(v), ledger)
-
-
-def _access(t: TreeState, v: int, ledger: CostLedger) -> int:
-    """access() for an item id the caller has already checked."""
-    d = depth(t.host[v])
-    ledger.access_total += d
-    return d
-
-
-def swap(t: TreeState, s, ledger: CostLedger):
-    """Exchange the guests of server s and its parent at unit cost."""
-    s = t._check_server(s)
-    if s == 0:
-        raise ValueError("cannot swap the root with its parent")
-    p = parent(s)
-    u, w = t.guest[s], t.guest[p]
-    t.guest[s], t.guest[p] = w, u
-    t.host[u], t.host[w] = p, s
-    ledger.adjust_total += 1
-
-
-def interchange(t: TreeState, u, v, ledger: CostLedger) -> int:
+def interchange(t: TreeState, u, v) -> int:
     """Exchange the hosts of items u and v via a chain of swaps along their path.
 
     u walks the whole path (d swaps) and v walks back (d-1 swaps), which
     puts every in-between item back where it started, so only the final
-    u/v exchange is materialized here; the ledger is charged the 2d-1
-    swaps the walk costs, one below the 2d worst case.
+    u/v exchange is materialized here; returns the 2d-1 swaps the walk
+    costs, one below the 2d worst case.
     """
     u, v = t._check_item(u), t._check_item(v)
     if u == v:
@@ -189,18 +165,16 @@ def interchange(t: TreeState, u, v, ledger: CostLedger) -> int:
     d = tree_distance(a, b)
     t.guest[a], t.guest[b] = v, u
     t.host[u], t.host[v] = b, a
-    charged = 2 * d - 1
-    ledger.adjust_total += charged
-    return charged
+    return 2 * d - 1
 
 
-def relocate_chain(t: TreeState, moves, ledger: CostLedger) -> int:
+def relocate_chain(t: TreeState, moves) -> int:
     """Apply an ordered chain of (item, destination-server) relocations.
 
     The first item is lifted out, leaving a hole at its source; every later
     move must slide its item into the current hole, and the chain must close
-    by leaving the final hole at the first item's destination.  Each move is
-    charged the hop count from its source to its destination.
+    by leaving the final hole at the first item's destination.  Returns the
+    cost: each move's hop count from its source to its destination.
     """
     if not moves:
         return 0
@@ -225,5 +199,4 @@ def relocate_chain(t: TreeState, moves, ledger: CostLedger) -> int:
     for v, dest in plan:
         t.guest[dest] = v
         t.host[v] = dest
-    ledger.adjust_total += cost
     return cost

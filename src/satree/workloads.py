@@ -24,8 +24,8 @@ class WorkloadSpec:
             raise ValueError(f"unknown workload kind {self.kind!r}")
         if self.m < 0:
             raise ValueError("request count must be >= 0")
-        if self.kind == "zipf" and not 0 <= self.alpha < np.inf:
-            raise ValueError(f"zipf exponent must be finite and >= 0, got {self.alpha!r}")
+        if self.kind == "zipf":
+            _check_alpha(self.alpha)
         if self.kind == "cyclic" and not 1 <= self.subset_size <= self.n:
             raise ValueError("cyclic subset size must lie in [1, n]")
         if self.kind == "trace" and not self.path:
@@ -50,8 +50,14 @@ class RequestSequence:
         return len(self.items)
 
 
+def _check_alpha(alpha):
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"zipf exponent must be finite and >= 0, got {alpha!r}")
+
+
 def zipf_frequencies(n, alpha) -> np.ndarray:
     """Normalized weights rank^-alpha; item id r-1 holds frequency rank r."""
+    _check_alpha(alpha)
     weights = np.arange(1, n + 1, dtype=np.float64) ** -float(alpha)
     return weights / weights.sum()
 

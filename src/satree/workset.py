@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -15,7 +14,6 @@ class WsAccumulator:
 
     def __init__(self):
         self.total = 0.0
-        self.terms = 0
 
 
 class RankTable:
@@ -130,20 +128,10 @@ def ranks(rt: RankTable) -> np.ndarray:
     return out
 
 
-def record(rt: RankTable, acc, v) -> int:
-    """Serve one request for v: add log2(rank) to acc, then stamp v as most recent.
-
-    Returns the pre-update rank.  Pass acc=None to skip working-set accounting.
-    """
-    return _record(rt, acc, rt._check_item(v))
-
-
-def _record(rt: RankTable, acc, v: int) -> int:
-    """record() for an item id the caller has already checked."""
+def record(rt: RankTable, v) -> int:
+    """Stamp v as the most recent item; returns its rank before the update."""
+    v = rt._check_item(v)
     r = rt.rank(v)
-    if acc is not None:
-        acc.total += math.log2(r)
-        acc.terms += 1
     rt._touch(v)
     return r
 

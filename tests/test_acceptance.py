@@ -16,7 +16,6 @@ from satree import (
     Policy,
     RankTable,
     RunConfig,
-    WsAccumulator,
     WorkloadSpec,
     build_static_mfu,
     concavity_check,
@@ -51,10 +50,10 @@ def _workloads(n, m, seed):
 
 def _ws_total(seq, n):
     rt = RankTable(n)
-    acc = WsAccumulator()
+    total = 0.0
     for v in seq:
-        record(rt, acc, v)
-    return acc.total
+        total += math.log2(record(rt, v))
+    return total
 
 
 def test_c01_max_push_keeps_mru():

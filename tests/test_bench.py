@@ -1,6 +1,8 @@
 """Run harness, instrumented statistics, and report serialization."""
 
+import csv
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -9,7 +11,7 @@ from satree import (
     RunConfig,
     RunReport,
     emit,
-    read_reports_csv,
+    random_push_rank_stats,
     run,
     workload_frequencies,
 )
@@ -91,17 +93,19 @@ def test_csv_round_trip(tmp_path):
     rep = run(RunConfig(algo="move-half", n=7, m=64, workload="zipf", seed=9))
     path = tmp_path / "out.csv"
     path.write_text(emit(rep, "csv"))
-    (back,) = read_reports_csv(path)
-    assert back.policy == rep.policy and back.workload == rep.workload
-    assert (back.n, back.m, back.seed) == (rep.n, rep.m, rep.seed)
-    assert (back.access_total, back.adjust_total, back.cost_total) == (
+    with open(path, newline="", encoding="utf-8") as fh:
+        (back,) = csv.DictReader(fh)
+    assert list(back) == [f.name for f in fields(RunReport)]
+    assert back["policy"] == rep.policy and back["workload"] == rep.workload
+    assert (int(back["n"]), int(back["m"]), int(back["seed"])) == (rep.n, rep.m, rep.seed)
+    assert (int(back["access_total"]), int(back["adjust_total"]), int(back["cost_total"])) == (
         rep.access_total,
         rep.adjust_total,
         rep.cost_total,
     )
-    assert back.ws_bound == pytest.approx(rep.ws_bound, rel=1e-5)
-    assert back.ratio_cost_over_ws == pytest.approx(rep.ratio_cost_over_ws, rel=1e-5)
-    assert back.mru_violations is None and back.opt_cost is None
+    assert float(back["ws_bound"]) == pytest.approx(rep.ws_bound, rel=1e-5)
+    assert float(back["ratio_cost_over_ws"]) == pytest.approx(rep.ratio_cost_over_ws, rel=1e-5)
+    assert back["mru_violations"] == "" and back["opt_cost"] == ""
 
 
 def test_json_mirrors_fields(tmp_path):
@@ -136,7 +140,6 @@ def test_rank_stats_match_brute_force_oracle():
     import numpy as np
 
     from satree import Policy, generate, rank
-    from satree.bench import random_push_rank_stats
     from satree.tree import depth
 
     n, m, seed = 15, 400, 3
@@ -169,3 +172,8 @@ def test_rank_stats_match_brute_force_oracle():
     assert d_cnt.tolist() == stats["depth_cnt"].tolist()
     assert w_sum.tolist() == stats["w_sum"].tolist()
     assert w_cnt.tolist() == stats["w_cnt"].tolist()
+
+
+def test_rank_stats_need_a_seed():
+    with pytest.raises(ValueError, match="seed"):
+        random_push_rank_stats(7, 10, [])

@@ -7,10 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from satree.bench import read_reports_csv
 from satree.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_run_writes_csv(tmp_path):
@@ -20,8 +24,8 @@ def test_run_writes_csv(tmp_path):
         "--alpha", "1.0", "--m", "2000", "--seed", "7", "--out", str(out),
     ])
     assert rc == 0
-    (rep,) = read_reports_csv(out)
-    assert rep.policy == "move-half" and rep.n == 15 and rep.m == 2000
+    (rep,) = read_csv(out)
+    assert rep["policy"] == "move-half" and rep["n"] == "15" and rep["m"] == "2000"
 
 
 def test_run_json_to_stdout(capsys):
@@ -39,9 +43,9 @@ def test_matrix_runs_every_combination(tmp_path):
         "--subset", "3", "--n", "7", "--m", "200", "--seed", "1", "--out", str(out),
     ])
     assert rc == 0
-    reps = read_reports_csv(out)
+    reps = read_csv(out)
     assert len(reps) == 4
-    assert [r.seed for r in reps] == [1, 2, 3, 4]  # master seed plus run index
+    assert [r["seed"] for r in reps] == ["1", "2", "3", "4"]  # master seed plus run index
 
 
 def test_unknown_policy_fails_with_diagnostic(capsys):
@@ -72,8 +76,8 @@ def test_trace_workload(tmp_path):
         "--trace", str(trace), "--out", str(out),
     ])
     assert rc == 0
-    (rep,) = read_reports_csv(out)
-    assert rep.m == 3
+    (rep,) = read_csv(out)
+    assert rep["m"] == "3"
 
 
 def test_depth_stats_csv(tmp_path):
@@ -131,8 +135,7 @@ def test_depth_stats_csv_and_json_agree(tmp_path):
     argv = ["depth-stats", "--n", "15", "--m", "2000", "--seeds", "0,1"]
     assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 0
     assert main(argv + ["--format", "json", "--out", str(tmp_path / "s.json")]) == 0
-    with open(tmp_path / "s.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = read_csv(tmp_path / "s.csv")
     records = json.loads((tmp_path / "s.json").read_text())
     assert len(rows) == len(records) > 0
     for row, record in zip(rows, records):
@@ -161,3 +164,10 @@ def test_non_finite_zipf_exponent_fails(capsys):
     rc = main(["run", "--workload", "zipf", "--alpha", "nan", "--n", "7", "--m", "10"])
     assert rc == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_depth_stats_rejects_an_empty_seed_list(capsys):
+    assert main(["depth-stats", "--n", "7", "--m", "10", "--seeds", ","]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("satree:") and captured.err.count("\n") == 1

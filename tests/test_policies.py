@@ -1,6 +1,11 @@
 """The four relocation policies and the static tree builder."""
 
 import itertools
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,6 @@ from satree import (
     Policy,
     RankTable,
     TreeState,
-    access,
     build_static_mfu,
     expected_path_length,
     is_mru,
@@ -20,6 +24,7 @@ from satree import (
     relocate_chain,
 )
 from satree.policies import POLICY_KINDS
+from satree.tree import depth
 from satree.workset import rank_order
 
 
@@ -179,14 +184,18 @@ def argsort_max_push_serve(p, u):
     order = rank_order(p.ranks)
     if not (t.depths[t.host[order]] == t.depths).all():
         raise ValueError("max-push requires an MRU tree")
-    adjust0 = ledger.adjust_total
-    k = access(t, u, ledger)
+    k = t.item_depth(u)
+    adjust = 0
     if k > 0:
         demoted = [int(order[(1 << (i + 1)) - 2]) for i in range(k)]
         dests = [int(t.host[u])] + [int(t.host[w]) for w in demoted[:0:-1]]
         moves = list(zip(demoted[::-1], dests)) + [(u, int(t.host[demoted[0]]))]
-        relocate_chain(t, moves, ledger)
-    return k, ledger.adjust_total - adjust0, record(p.ranks, p.ws, u), None
+        adjust = relocate_chain(t, moves)
+    r = record(p.ranks, u)
+    ledger.access_total += k
+    ledger.adjust_total += adjust
+    p.ws.total += math.log2(r)
+    return k, adjust, r, None
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,6 +295,21 @@ def test_expected_path_length_examples():
     assert expected_path_length(TreeState(7), np.full(7, 1 / 7)) == pytest.approx(10 / 7)
 
 
+def generator_expected_path_length(t, freq):
+    """expected_path_length as a Python sum over the items, in item order."""
+    return float(sum(freq[v] * depth(t.host[v]) for v in range(t.n)))
+
+
+def test_expected_path_length_matches_sequential_sum():
+    rng = np.random.default_rng(31)
+    for n in (1, 3, 7, 255, 16383):
+        for _ in range(3):
+            freq = rng.random(n)
+            freq /= freq.sum()
+            t = TreeState(n, guests=rng.permutation(n))
+            assert expected_path_length(t, freq) == generator_expected_path_length(t, freq)
+
+
 def test_policy_requires_known_kind_and_mfu_frequencies():
     with pytest.raises(ValueError):
         Policy("mystery", 7)
@@ -354,3 +378,48 @@ def test_cost_bound_is_checked_on_every_request(monkeypatch):
     with pytest.raises(RuntimeError, match="5x"):
         for v in range(7, 15):
             p.serve(v)
+
+
+ASSERT_FREE_CHECKS = """
+import sys
+import satree.policies
+from satree import Policy, TreeState
+
+def snapshot(p):
+    return (p.tree.guest.tolist(), p.tree.host.tolist(), p.ranks.stamps.tolist(),
+            p.ledger.access_total, p.ledger.adjust_total, p.ws.total)
+
+def expect_raise(exc, fn, what):
+    try:
+        fn()
+    except exc:
+        return
+    sys.exit(f"{what} did not raise {exc.__name__}")
+
+assert False, "assert statements must be stripped under -O"
+p = Policy("move-half", 15)
+for v in (7, 3, 12):
+    p.serve(v)
+before = snapshot(p)
+expect_raise(ValueError, lambda: p.serve(3.7), "serve(3.7)")
+if snapshot(p) != before:
+    sys.exit("serve(3.7) changed the policy state")
+
+p = Policy("max-push", 7)
+p.tree = TreeState(7, guests=[6, 1, 2, 3, 4, 5, 0])
+expect_raise(ValueError, lambda: p.serve(3), "max-push on a non-MRU tree")
+
+satree.policies.tree_distance = lambda a, b: 100
+p = Policy("random-push", 15, seed=0)
+expect_raise(RuntimeError, lambda: [p.serve(v) for v in range(7, 15)], "an overcharged random-push")
+print("ok")
+"""
+
+
+def test_invariants_hold_without_assert():
+    # python -O strips assert statements, so no invariant may rest on one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", ASSERT_FREE_CHECKS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "ok\n", "")

@@ -8,15 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satree import (
-    CostLedger,
     Policy,
     TreeState,
-    access,
     depth,
     interchange,
     relocate_chain,
     routing_header,
-    swap,
     tree_distance,
     tree_path,
 )
@@ -137,39 +134,16 @@ def test_routing_header_round_trip():
 
 
 def test_access_charges_depth_and_leaves_tree_alone():
-    t = TreeState(15)
-    led = CostLedger()
-    assert access(t, 0, led) == 0
-    assert access(t, 7, led) == 3
+    p = Policy("fixed", 15)
+    t, led = p.tree, p.ledger
+    assert p.serve(0)[0] == 0
+    assert p.serve(7)[0] == 3
     before = t.guest.copy()
-    access(t, 4, led)
+    p.serve(4)
     assert (t.guest == before).all()
     assert led.access_total == 0 + 3 + 2
     with pytest.raises(ValueError):
-        access(t, 99, led)
-
-
-def test_swap_exchanges_with_parent():
-    t = TreeState(3)
-    led = CostLedger()
-    swap(t, 1, led)
-    assert t.guest.tolist() == [1, 0, 2]
-    assert led.adjust_total == 1
-    swap(t, 1, led)  # involution
-    assert t.guest.tolist() == [0, 1, 2]
-    assert led.adjust_total == 2
-    with pytest.raises(ValueError):
-        swap(t, 0, led)
-
-
-def test_swap_rejects_fractional_server():
-    t = TreeState(7)
-    led = CostLedger()
-    with pytest.raises(ValueError):
-        swap(t, 1.9, led)
-    assert t.guest.tolist() == list(range(7)) and led.adjust_total == 0
-    swap(t, np.int64(2), led)  # numpy integers are exact integers
-    assert t.guest.tolist() == [2, 1, 0, 3, 4, 5, 6]
+        p.serve(99)
 
 
 def test_check_bijection_raises_on_broken_state():
@@ -183,9 +157,8 @@ def test_check_bijection_raises_on_broken_state():
 def test_interchange_common_branch():
     # u at depth 3 (server 7), v its grandparent's guest at depth 1 (server 1): d = 2
     t = TreeState(15)
-    led = CostLedger()
-    charged = interchange(t, 7, 1, led)
-    assert charged == 3 and led.adjust_total == 3
+    charged = interchange(t, 7, 1)
+    assert charged == 3
     assert int(t.host[7]) == 1 and int(t.host[1]) == 7
     for other in range(15):
         if other not in (1, 7):
@@ -194,37 +167,32 @@ def test_interchange_common_branch():
 
 def test_interchange_parent_child_and_self():
     t = TreeState(7)
-    led = CostLedger()
-    assert interchange(t, 1, 0, led) == 1
-    assert led.adjust_total == 1
-    assert interchange(t, 3, 3, led) == 0
-    assert led.adjust_total == 1
+    assert interchange(t, 1, 0) == 1
+    assert interchange(t, 3, 3) == 0
+    assert t.guest.tolist() == [1, 0, 2, 3, 4, 5, 6]
 
 
 def test_interchange_cost_matches_distance_oracle():
     rng = np.random.default_rng(7)
     for _ in range(100):
         t = TreeState(31, guests=rng.permutation(31))
-        led = CostLedger()
         u, v = rng.choice(31, size=2, replace=False)
         d = bfs_distance(31, int(t.host[u]), int(t.host[v]))
-        charged = interchange(t, u, v, led)
+        charged = interchange(t, u, v)
         assert charged == 2 * d - 1 <= 2 * d
         t.check_bijection()
 
 
 def test_relocate_chain_empty():
     t = TreeState(7)
-    led = CostLedger()
-    assert relocate_chain(t, [], led) == 0
-    assert led.adjust_total == 0
+    assert relocate_chain(t, []) == 0
+    assert t.guest.tolist() == list(range(7))
 
 
 def test_relocate_chain_filler_link_cost():
     # hole opens at server 1; item 7 slides in across two hops, closing at server 7
     t = TreeState(15)
-    led = CostLedger()
-    cost = relocate_chain(t, [(1, 7), (7, 1)], led)
+    cost = relocate_chain(t, [(1, 7), (7, 1)])
     assert cost == 4  # each leg of the two-cycle is a 2-hop trip
     assert int(t.host[1]) == 7 and int(t.host[7]) == 1
     t.check_bijection()
@@ -232,32 +200,30 @@ def test_relocate_chain_filler_link_cost():
 
 def test_relocate_chain_three_cycle_cost_from_oracle():
     t = TreeState(3)
-    led = CostLedger()
     moves = [(0, 2), (1, 0), (2, 1)]
     expect = sum(bfs_distance(3, src, dst) for src, dst in ((0, 2), (1, 0), (2, 1)))
-    assert relocate_chain(t, moves, led) == expect == 4
+    assert relocate_chain(t, moves) == expect == 4
     assert t.guest.tolist() == [1, 2, 0]
     t.check_bijection()
 
 
 def test_relocate_chain_rejects_occupied_destination():
     t = TreeState(7)
-    led = CostLedger()
     with pytest.raises(ValueError, match="occupied"):
-        relocate_chain(t, [(0, 3), (5, 6)], led)  # 6 was never vacated
+        relocate_chain(t, [(0, 3), (5, 6)])  # 6 was never vacated
     with pytest.raises(ValueError, match="occupied"):
-        relocate_chain(t, [(0, 3), (5, 0)], led)  # chain never frees server 3
+        relocate_chain(t, [(0, 3), (5, 0)])  # chain never frees server 3
     # failed chains must not mutate the tree
     assert t.guest.tolist() == list(range(7))
 
 
 def test_relocate_chain_rejects_fractional_servers():
     t = TreeState(7)
-    led = CostLedger()
     with pytest.raises(ValueError):
-        relocate_chain(t, [(1, 2.7), (2, 1.2)], led)
+        relocate_chain(t, [(1, 2.7), (2, 1.2)])
     assert t.guest.tolist() == list(range(7)) and t.host.tolist() == list(range(7))
-    assert led.adjust_total == 0
+    relocate_chain(t, [(1, np.int64(2)), (2, np.int64(1))])  # numpy integers are exact integers
+    assert t.guest.tolist() == [0, 2, 1, 3, 4, 5, 6]
 
 
 def test_ledger_totals_are_monotone_sums():

@@ -4,7 +4,7 @@ import collections
 
 import pytest
 
-from satree import RequestSequence, WorkloadSpec, generate, read_trace
+from satree import RequestSequence, WorkloadSpec, generate, read_trace, zipf_frequencies
 
 
 def test_cyclic_sequence():
@@ -41,9 +41,11 @@ def test_spec_validation():
         WorkloadSpec(kind="cyclic", n=7, m=10, subset_size=9)
     with pytest.raises(ValueError):
         WorkloadSpec(kind="zipf", n=7, m=10, alpha=-1.0)
-    for alpha in (float("nan"), float("inf")):
+    for alpha in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match="finite"):
             WorkloadSpec(kind="zipf", n=7, m=10, alpha=alpha)
+        with pytest.raises(ValueError, match="finite"):
+            zipf_frequencies(7, alpha)
     with pytest.raises(ValueError):
         WorkloadSpec(kind="trace", n=7, m=10)
     with pytest.raises(ValueError):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from satree import (
     RankTable,
+    Policy,
     TreeState,
-    WsAccumulator,
     bad_pairs,
     is_mru,
     is_mru_beta,
@@ -56,9 +56,8 @@ def test_fresh_table_ranks_follow_initial_servers():
 
 def test_rank_after_two_requests():
     rt = RankTable(3)
-    acc = WsAccumulator()
-    record(rt, acc, 0)
-    record(rt, acc, 1)
+    record(rt, 0)
+    record(rt, 1)
     assert rank(rt, 0) == 2
     assert rank(rt, 1) == 1
     assert rank(rt, 2) == 3
@@ -66,40 +65,38 @@ def test_rank_after_two_requests():
 
 def test_record_returns_pre_update_rank_and_accumulates():
     rt = RankTable(3)
-    acc = WsAccumulator()
-    assert record(rt, acc, 2) == 3  # item starting at server 2
-    assert acc.total == pytest.approx(math.log2(3))
-    assert record(rt, acc, 2) == 1
-    assert acc.total == pytest.approx(math.log2(3))  # log2(1) adds nothing
-    assert acc.terms == 2
+    assert record(rt, 2) == 3  # item starting at server 2
+    assert record(rt, 2) == 1
+    p = Policy("fixed", 3)  # Policy.serve adds log2 of each pre-update rank to its WS total
+    assert p.serve(2)[2] == 3
+    assert p.ws.total == pytest.approx(math.log2(3))
+    assert p.serve(2)[2] == 1
+    assert p.ws.total == pytest.approx(math.log2(3))  # log2(1) adds nothing
 
 
 def test_repeats_contribute_zero():
-    rt = RankTable(7)
-    acc = WsAccumulator()
+    p = Policy("fixed", 7)
     for _ in range(5):
-        record(rt, acc, 3)
-    assert acc.total == pytest.approx(math.log2(4))  # only the first request pays
+        p.serve(3)
+    assert p.ws.total == pytest.approx(math.log2(4))  # only the first request pays
 
 
 def test_cycling_reaches_steady_state_log_k():
     k, n = 4, 15
-    rt = RankTable(n)
-    acc = WsAccumulator()
+    p = Policy("fixed", n)
     for t in range(3 * k):
-        record(rt, acc, t % k)
-    before = acc.total
+        p.serve(t % k)
+    before = p.ws.total
     for t in range(k):
-        assert record(rt, acc, t % k) == k
-    assert acc.total - before == pytest.approx(k * math.log2(k))
+        assert p.serve(t % k)[2] == k
+    assert p.ws.total - before == pytest.approx(k * math.log2(k))
 
 
 def test_ranks_always_a_permutation():
     rng = np.random.default_rng(0)
     rt = RankTable(15)
-    acc = WsAccumulator()
     for v in rng.integers(0, 15, size=100):
-        record(rt, acc, int(v))
+        record(rt, int(v))
         assert sorted(ranks(rt).tolist()) == list(range(1, 16))
         assert len(set(rt.stamps.tolist())) == 15
 
@@ -112,9 +109,8 @@ def test_fenwick_ranks_match_scan(n, data):
     item = st.integers(0, n - 1)
     steps = data.draw(st.lists(st.tuples(item, item), min_size=laps, max_size=laps + 40))
     rt, ref = RankTable(n), ScanRanks(n)
-    acc = WsAccumulator()
     for v, probe in steps:
-        assert record(rt, acc, v) == ref.record(v)
+        assert record(rt, v) == ref.record(v)
         assert rank(rt, probe) == ref.rank(probe) == int((rt.stamps > rt.stamps[probe]).sum()) + 1
     assert [rank(rt, v) for v in range(n)] == [ref.rank(v) for v in range(n)] == ranks(rt).tolist()
     assert 0 <= rt.stamps.min() and rt.stamps.max() < rt.clock
@@ -131,11 +127,10 @@ def test_stamps_must_be_distinct():
 
 def test_order_sensitivity_of_ws_total():
     def total(seq):
-        rt = RankTable(7)
-        acc = WsAccumulator()
+        p = Policy("fixed", 7)
         for v in seq:
-            record(rt, acc, v)
-        return acc.total
+            p.serve(v)
+        return p.ws.total
 
     assert total([6, 0, 6]) != total([6, 6, 0])
 
@@ -189,8 +184,7 @@ def test_max_rank_item_at_depth_picks_least_recent():
     assert max_rank_item_at_depth(rt, t, 0) == 0
     assert max_rank_item_at_depth(rt, t, 1) == 2
     assert max_rank_item_at_depth(rt, t, 2) == 6
-    acc = WsAccumulator()
-    record(rt, acc, 6)  # item 6 becomes most recent; item 5 is now level 2's max rank
+    record(rt, 6)  # item 6 becomes most recent; item 5 is now level 2's max rank
     assert max_rank_item_at_depth(rt, t, 2) == 5
 
 
@@ -232,7 +226,7 @@ def test_bad_pairs_matches_oracle_on_random_states():
         t = TreeState(15, guests=rng.permutation(15))
         rt = RankTable(15)
         for v in rng.integers(0, 15, size=rng.integers(0, 30)):
-            record(rt, None, int(v))
+            record(rt, int(v))
         alpha, b, phi = bad_pairs(t, rt)
         o_alpha, o_b = oracle_bad_pairs(t, rt)
         assert alpha.tolist() == o_alpha

@@ -9,7 +9,6 @@ benchmark harness with a CLI front end.
 """
 
 from .bench import (
-    RunConfig,
     RunReport,
     emit,
     random_push_rank_stats,
@@ -42,7 +41,7 @@ from .tree import (
     tree_distance,
     tree_path,
 )
-from .workloads import RequestSequence, WorkloadSpec, generate, read_trace, zipf_frequencies
+from .workloads import WorkloadSpec, generate, read_trace, zipf_frequencies
 from .workset import (
     RankTable,
     WsAccumulator,

@@ -11,25 +11,8 @@ import numpy as np
 
 from .oracle import check_supported, opt_cost
 from .policies import POLICY_KINDS, Policy
-from .workloads import RequestSequence, WorkloadSpec, generate, zipf_frequencies
+from .workloads import WorkloadSpec, generate, zipf_frequencies
 from .workset import is_mru
-
-RATIO_EPS = 1e-12
-
-
-@dataclass
-class RunConfig:
-    algo: str = "move-half"
-    n: int = 15
-    m: int = 1000
-    workload: str = "uniform"
-    alpha: float = 1.0
-    subset: int = 1
-    trace: str | None = None
-    seed: int = 0
-    check_mru: bool = False
-    oracle: bool = False
-
 
 @dataclass
 class RunReport:
@@ -57,63 +40,55 @@ def workload_frequencies(spec: WorkloadSpec) -> np.ndarray:
         freq = np.zeros(spec.n)
         freq[: spec.subset_size] = 1.0 / spec.subset_size
         return freq
-    return _item_frequencies(generate(spec))
+    return _item_frequencies(generate(spec), spec.n)
 
 
-def _item_frequencies(seq: RequestSequence) -> np.ndarray:
-    """Empirical item frequencies of a sequence; uniform for an empty one."""
-    counts = np.bincount(seq.items, minlength=seq.n).astype(np.float64)
+def _item_frequencies(items, n) -> np.ndarray:
+    """Empirical frequencies of n items in a request array; uniform for an empty one."""
+    counts = np.bincount(items, minlength=n).astype(np.float64)
     if counts.sum() == 0:
-        return np.full(seq.n, 1.0 / seq.n)
+        return np.full(n, 1.0 / n)
     return counts / counts.sum()
 
 
-def _workload_spec(cfg: RunConfig) -> WorkloadSpec:
-    return WorkloadSpec(
-        kind=cfg.workload,
-        n=cfg.n,
-        m=cfg.m,
-        alpha=cfg.alpha,
-        subset_size=cfg.subset,
-        path=cfg.trace,
-        seed=cfg.seed,
-    )
+def run(algo, spec: WorkloadSpec, check_mru=False, oracle=False) -> RunReport:
+    """Simulate one policy, seeded with spec.seed, over one workload and aggregate the ledger.
 
-
-def run(cfg: RunConfig) -> RunReport:
-    """Simulate one policy over one workload and aggregate the ledger."""
-    if cfg.algo not in POLICY_KINDS:
-        raise ValueError(f"unknown policy {cfg.algo!r}")
-    spec = _workload_spec(cfg)
-    seq = generate(spec)
+    check_mru counts requests that leave the tree not MRU; oracle attaches the exact optimum.
+    """
+    if algo not in POLICY_KINDS:
+        raise ValueError(f"unknown policy {algo!r}")
+    items = generate(spec)
     freq = None
-    if cfg.algo == "static-mfu":
-        # a trace's frequencies are its own item counts, so count the sequence already read
-        freq = _item_frequencies(seq) if spec.kind == "trace" else workload_frequencies(spec)
-    policy = Policy(cfg.algo, cfg.n, seed=cfg.seed, freq=freq)
-    if cfg.oracle:
-        check_supported(cfg.n, len(seq))
-    init_layout = tuple(int(g) for g in policy.tree.guest)
-    violations = 0 if cfg.check_mru else None
-    for v in seq.items:
+    if algo == "static-mfu":
+        # a trace's frequencies are its own item counts, so count the requests already read
+        freq = _item_frequencies(items, spec.n) if spec.kind == "trace" else workload_frequencies(spec)
+    policy = Policy(algo, spec.n, seed=spec.seed, freq=freq)
+    if oracle:
+        check_supported(spec.n, len(items))
+        init_layout = tuple(int(g) for g in policy.tree.guest)
+    violations = 0 if check_mru else None
+    for v in items:
         policy.serve(v)
-        if cfg.check_mru and not is_mru(policy.tree, policy.ranks):
+        if check_mru and not is_mru(policy.tree, policy.ranks):
             violations += 1
     ws = policy.ws.total
     led = policy.ledger
     return RunReport(
-        policy=cfg.algo,
+        policy=algo,
         workload=spec.describe(),
-        n=cfg.n,
-        m=len(seq),
-        seed=cfg.seed,
+        n=spec.n,
+        m=len(items),
+        seed=spec.seed,
         access_total=led.access_total,
         adjust_total=led.adjust_total,
         cost_total=led.cost_total,
         ws_bound=ws,
-        ratio_cost_over_ws=led.cost_total / max(ws, RATIO_EPS),
+        # each request adds log2(rank), which is >= 1 unless it hits the rank-1 item; that
+        # item starts at the root and costs nothing there, so WS = 0 implies cost = 0
+        ratio_cost_over_ws=led.cost_total / ws if ws else 0.0,
         mru_violations=violations,
-        opt_cost=opt_cost(seq, init_layout) if cfg.oracle else None,
+        opt_cost=opt_cost(items, init_layout) if oracle else None,
     )
 
 
@@ -134,7 +109,7 @@ def random_push_rank_stats(n, m, seeds, warmup=0):
     w_sum = np.zeros(n + 1)
     w_cnt = np.zeros(n + 1, dtype=np.int64)
     for seed in seeds:
-        seq = generate(WorkloadSpec(kind="uniform", n=n, m=m, seed=int(seed)))
+        items = generate(WorkloadSpec(kind="uniform", n=n, m=m, seed=int(seed)))
         policy = Policy("random-push", n, seed=int(seed))
         # suf[d] = requests so far whose access depth exceeded d; an item's deeper-request
         # count is acc[v] plus the suf growth at its current depth since base[v] was set
@@ -143,7 +118,7 @@ def random_push_rank_stats(n, m, seeds, warmup=0):
         acc = [0] * n
         seen = bytearray(n)
         guest = policy.tree.guest
-        for step, u in enumerate(seq.items):
+        for step, u in enumerate(items):
             k, _, r, path = policy.serve(u)
             if step >= warmup:
                 depth_sum[r] += k

@@ -9,10 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bench import RunConfig, emit, random_push_rank_stats, run
+from .bench import emit, random_push_rank_stats, run
 from .markov import binomial_identity, concavity_check, expected_state_curve
 from .oracle import check_supported, opt_cost
 from .policies import Policy
+from .workloads import WorkloadSpec
 
 
 # every option a subcommand may take; each subcommand takes only the ones it reads
@@ -34,19 +35,10 @@ _OPTIONS = {
 _RUN_OPTIONS = tuple(name for name in _OPTIONS if name != "--seeds")
 
 
-def _config(args, algo, workload, seed):
-    return RunConfig(
-        algo=algo,
-        n=args.n,
-        m=args.m,
-        workload=workload,
-        alpha=args.alpha,
-        subset=args.subset,
-        trace=args.trace,
-        seed=seed,
-        check_mru=args.check_mru,
-        oracle=args.oracle,
-    )
+def _run(args, algo, workload, seed):
+    spec = WorkloadSpec(kind=workload, n=args.n, m=args.m, alpha=args.alpha,
+                        subset_size=args.subset, path=args.trace, seed=seed)
+    return run(algo, spec, check_mru=args.check_mru, oracle=args.oracle)
 
 
 def _write(text, path):
@@ -58,7 +50,7 @@ def _write(text, path):
 
 
 def _cmd_run(args):
-    report = run(_config(args, args.algo, args.workload, args.seed))
+    report = _run(args, args.algo, args.workload, args.seed)
     _write(emit(report, args.format), args.out)
     return 0
 
@@ -68,7 +60,7 @@ def _cmd_matrix(args):
     workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
     reports = []
     for idx, (algo, workload) in enumerate(itertools.product(algos, workloads)):
-        reports.append(run(_config(args, algo, workload, args.seed + idx)))
+        reports.append(_run(args, algo, workload, args.seed + idx))
     _write(emit(reports, args.format), args.out)
     return 0
 

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tree import TreeState, depth, parent
+from .tree import _check_index, depth, parent
 
 ORACLE_SIZES = (3, 7)
 MAX_REQUESTS = {3: 12, 7: 8}
@@ -70,9 +70,12 @@ def _space(n) -> _ConfigSpace:
 
 
 def _as_config(layout):
-    if isinstance(layout, TreeState):
-        return tuple(int(g) for g in layout.guest)
-    return tuple(int(g) for g in layout)
+    """The layout as a tuple, for an exact-integer permutation of 0..n-1; ValueError otherwise."""
+    n = len(layout)
+    config = tuple(_check_index(g, n) for g in layout)
+    if len(set(config)) != n:
+        raise ValueError(f"layout {config} is not a permutation of 0..{n - 1}")
+    return config
 
 
 def swap_distance(a, b) -> int:
@@ -90,16 +93,12 @@ def opt_cost(seq, init) -> int:
     The adversary may also rearrange before the first access, which only
     strengthens it.  Tractable for n=3 (up to 12 requests) and n=7 (up to 8).
     """
-    items = list(getattr(seq, "items", seq))
     init = _as_config(init)
     n = len(init)
     space = _space(n)
-    check_supported(n, len(items))
+    check_supported(n, len(seq))
     f = np.full(len(space.perms), _INF, dtype=np.int64)
     f[space.index[init]] = 0
-    for v in items:
-        v = int(v)
-        if not 0 <= v < n:
-            raise ValueError(f"unknown item {v}")
-        f = space.relax(f) + space.item_depth[:, v]
+    for v in seq:
+        f = space.relax(f) + space.item_depth[:, _check_index(v, n)]
     return int(f.min())

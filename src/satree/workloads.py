@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,15 +42,6 @@ class WorkloadSpec:
         return "uniform"
 
 
-@dataclass
-class RequestSequence:
-    items: list = field(default_factory=list)
-    n: int = 0
-
-    def __len__(self):
-        return len(self.items)
-
-
 def _check_alpha(alpha):
     if not 0 <= alpha < np.inf:
         raise ValueError(f"zipf exponent must be finite and >= 0, got {alpha!r}")
@@ -62,30 +54,31 @@ def zipf_frequencies(n, alpha) -> np.ndarray:
     return weights / weights.sum()
 
 
-def generate(spec: WorkloadSpec) -> RequestSequence:
-    """Realize a workload spec; everything except traces is a pure function of the seed."""
+def generate(spec: WorkloadSpec) -> np.ndarray:
+    """Realize a workload spec as a 1-d int64 array of item ids; only traces ignore the seed."""
     if spec.kind == "trace":
         return read_trace(spec.path, spec.n)
     if spec.kind == "cyclic":
-        items = [t % spec.subset_size for t in range(spec.m)]
-        return RequestSequence(items, spec.n)
+        return np.arange(spec.m, dtype=np.int64) % spec.subset_size
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "uniform":
-        items = rng.integers(0, spec.n, size=spec.m)
-    else:  # zipf via inverse CDF over exact cumulative weights
-        cum = zipf_frequencies(spec.n, spec.alpha).cumsum()
-        items = np.searchsorted(cum, rng.random(spec.m), side="right")
-        items = np.minimum(items, spec.n - 1)
-    return RequestSequence([int(v) for v in items], spec.n)
+        return rng.integers(0, spec.n, size=spec.m)
+    # zipf via inverse CDF over exact cumulative weights
+    cum = zipf_frequencies(spec.n, spec.alpha).cumsum()
+    items = np.searchsorted(cum, rng.random(spec.m), side="right")
+    return np.minimum(items, spec.n - 1).astype(np.int64, copy=False)
 
 
-def read_trace(path, n) -> RequestSequence:
-    """Parse one decimal item id per line; '#' lines are comments, blanks skipped."""
-    items = []
+def read_trace(path, n) -> np.ndarray:
+    """One decimal item id per line as an int64 array; '#' lines are comments, blanks skipped."""
+    # grown in place and returned as a view, so a list and an array never coexist in memory;
+    # its append is bound once, since an array append costs more per call than a list's
+    items = array("q")
+    append = items.append
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if not line or line[0] == "#":
                 continue
             try:
                 v = int(line)
@@ -93,5 +86,5 @@ def read_trace(path, n) -> RequestSequence:
                 raise ValueError(f"{path}:{lineno}: not a decimal item id: {line!r}") from None
             if not 0 <= v < n:
                 raise ValueError(f"{path}:{lineno}: item id {v} out of range for n={n}")
-            items.append(v)
-    return RequestSequence(items, n)
+            append(v)
+    return np.frombuffer(items, dtype=np.int64)

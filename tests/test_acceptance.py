@@ -15,7 +15,6 @@ import pytest
 from satree import (
     Policy,
     RankTable,
-    RunConfig,
     WorkloadSpec,
     build_static_mfu,
     concavity_check,
@@ -62,7 +61,7 @@ def test_c01_max_push_keeps_mru():
     for n in (7, 15, 31):
         for spec in _workloads(n, 10_000, seed=101):
             p = Policy("max-push", n)
-            for v in generate(spec).items:
+            for v in generate(spec):
                 p.serve(v)
                 assert is_mru(p.tree, p.ranks), (n, spec.describe())
                 checked += 1
@@ -77,7 +76,7 @@ def test_c02_working_set_lower_bound():
     # every policy, every tested run
     for algo in POLICIES:
         for kind, subset in (("uniform", 1), ("zipf", 1), ("cyclic", 7)):
-            rep = run(RunConfig(algo=algo, n=15, m=3000, workload=kind, subset=subset, seed=21))
+            rep = run(algo, WorkloadSpec(kind=kind, n=15, m=3000, subset_size=subset, seed=21))
             assert rep.cost_total >= rep.ws_bound / 4 - 1e-9, (algo, kind)
     # exhaustive offline floor at n=3
     init = (0, 1, 2)
@@ -128,7 +127,7 @@ def test_c04_move_half_access_competitive_to_max_push():
         seq = generate(WorkloadSpec(kind=kind, n=n, m=m, alpha=1.0, seed=seed))
         mh = Policy("move-half", n)
         mp = Policy("max-push", n)
-        for v in seq.items:
+        for v in seq:
             mh.serve(v)
             mp.serve(v)
         lhs = mh.ledger.access_total
@@ -147,7 +146,7 @@ def test_c05_per_request_cost_structure():
             seq = generate(spec)
             for kind, factor in (("move-half", 4), ("random-push", 5)):
                 p = Policy(kind, n, seed=52)
-                for v in seq.items:
+                for v in seq:
                     a, j, _, _ = p.serve(v)
                     assert a + j <= factor * a or (a, j) == (0, 0), (kind, a, j)
                     checked += 1
@@ -284,7 +283,7 @@ def test_c12_max_push_adjustment_is_not_proportional():
         seq = generate(WorkloadSpec(kind="cyclic", n=n, m=40 * ell, subset_size=ell))
         for kind in ("max-push", "move-half", "random-push"):
             p = Policy(kind, n, seed=5)
-            for v in seq.items:
+            for v in seq:
                 p.serve(v)
             ratios[(kind, n)] = p.ledger.adjust_total / p.ledger.access_total
     mp = [ratios[("max-push", n)] for n in (15, 63, 255)]

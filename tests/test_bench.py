@@ -8,7 +8,6 @@ import pytest
 
 from satree import (
     Policy,
-    RunConfig,
     RunReport,
     emit,
     random_push_rank_stats,
@@ -19,27 +18,32 @@ from satree.workloads import WorkloadSpec
 
 
 def test_fixed_policy_run_never_adjusts():
-    rep = run(RunConfig(algo="fixed", n=15, m=500, workload="zipf", seed=1))
+    rep = run("fixed", WorkloadSpec(kind="zipf", n=15, m=500, seed=1))
     assert rep.adjust_total == 0
     assert rep.cost_total == rep.access_total
     assert rep.cost_total >= rep.ws_bound / 4
 
 
 def test_root_only_workload_costs_nothing():
-    rep = run(RunConfig(algo="move-half", n=7, m=100, workload="cyclic", subset=1))
+    rep = run("move-half", WorkloadSpec(kind="cyclic", n=7, m=100, subset_size=1))
     assert rep.cost_total == 0
     assert rep.ws_bound == 0.0
     assert rep.ratio_cost_over_ws == 0.0
 
 
+def test_empty_workload_costs_nothing():
+    rep = run("move-half", WorkloadSpec(kind="uniform", n=7, m=0))
+    assert (rep.m, rep.cost_total, rep.ws_bound, rep.ratio_cost_over_ws) == (0, 0, 0.0, 0.0)
+
+
 def test_run_report_is_seed_deterministic():
-    cfg = RunConfig(algo="random-push", n=15, m=10000, workload="cyclic", subset=4, seed=3)
-    assert emit(run(cfg), "csv") == emit(run(cfg), "csv")
+    spec = WorkloadSpec(kind="cyclic", n=15, m=10000, subset_size=4, seed=3)
+    assert emit(run("random-push", spec), "csv") == emit(run("random-push", spec), "csv")
 
 
 def test_oracle_refused_for_large_trees():
     with pytest.raises(ValueError, match="refused"):
-        run(RunConfig(algo="fixed", n=15, m=10, oracle=True))
+        run("fixed", WorkloadSpec(kind="uniform", n=15, m=10), oracle=True)
 
 
 def test_oracle_refuses_long_runs_before_simulating(monkeypatch):
@@ -48,7 +52,7 @@ def test_oracle_refuses_long_runs_before_simulating(monkeypatch):
 
     monkeypatch.setattr(Policy, "serve", serve)
     with pytest.raises(ValueError, match="at most 8 requests supported for n=7"):
-        run(RunConfig(n=7, m=200000, oracle=True))
+        run("move-half", WorkloadSpec(kind="uniform", n=7, m=200000), oracle=True)
 
 
 def test_static_mfu_reads_its_trace_once(tmp_path, monkeypatch):
@@ -60,23 +64,30 @@ def test_static_mfu_reads_its_trace_once(tmp_path, monkeypatch):
     read_trace = workloads.read_trace
     monkeypatch.setattr(workloads, "read_trace",
                         lambda *args: calls.append(args) or read_trace(*args))
-    rep = run(RunConfig(algo="static-mfu", n=7, workload="trace", trace=str(path)))
+    rep = run("static-mfu", WorkloadSpec(kind="trace", n=7, path=str(path)))
     assert len(calls) == 1
     # the trace's own frequencies put item 6 at the root and item 5 below it
     assert (rep.m, rep.access_total) == (4, 1)
 
 
+def test_static_mfu_on_a_trace_without_requests(tmp_path):
+    path = tmp_path / "comments.trace"
+    path.write_text("# no requests\n\n# at all\n")
+    rep = run("static-mfu", WorkloadSpec(kind="trace", n=7, path=str(path)))
+    assert (rep.m, rep.cost_total, rep.ratio_cost_over_ws) == (0, 0, 0.0)
+
+
 def test_oracle_attached_for_tiny_runs():
-    rep = run(RunConfig(algo="move-half", n=3, m=8, workload="uniform", seed=2, oracle=True))
+    rep = run("move-half", WorkloadSpec(kind="uniform", n=3, m=8, seed=2), oracle=True)
     assert rep.opt_cost is not None
     assert rep.cost_total >= rep.opt_cost
     assert rep.opt_cost >= rep.ws_bound / 4 - 1e-9
 
 
 def test_check_mru_counts():
-    rep = run(RunConfig(algo="max-push", n=15, m=300, workload="uniform", seed=4, check_mru=True))
+    rep = run("max-push", WorkloadSpec(kind="uniform", n=15, m=300, seed=4), check_mru=True)
     assert rep.mru_violations == 0
-    rep = run(RunConfig(algo="fixed", n=15, m=300, workload="uniform", seed=4, check_mru=True))
+    rep = run("fixed", WorkloadSpec(kind="uniform", n=15, m=300, seed=4), check_mru=True)
     assert rep.mru_violations > 0
 
 
@@ -90,7 +101,7 @@ def test_workload_frequencies_shapes():
 
 
 def test_csv_round_trip(tmp_path):
-    rep = run(RunConfig(algo="move-half", n=7, m=64, workload="zipf", seed=9))
+    rep = run("move-half", WorkloadSpec(kind="zipf", n=7, m=64, seed=9))
     path = tmp_path / "out.csv"
     path.write_text(emit(rep, "csv"))
     with open(path, newline="", encoding="utf-8") as fh:
@@ -109,7 +120,7 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_json_mirrors_fields(tmp_path):
-    rep = run(RunConfig(algo="fixed", n=7, m=32, workload="uniform", seed=1))
+    rep = run("fixed", WorkloadSpec(kind="uniform", n=7, m=32, seed=1))
     path = tmp_path / "out.json"
     path.write_text(emit(rep, "json"))
     data = json.loads(path.read_text())
@@ -120,7 +131,7 @@ def test_json_mirrors_fields(tmp_path):
 
 def test_two_reports_share_one_header(tmp_path):
     reps = [
-        run(RunConfig(algo="fixed", n=7, m=32, workload="uniform", seed=s)) for s in (1, 2)
+        run("fixed", WorkloadSpec(kind="uniform", n=7, m=32, seed=s)) for s in (1, 2)
     ]
     path = tmp_path / "two.csv"
     path.write_text(emit(reps, "csv"))
@@ -130,7 +141,7 @@ def test_two_reports_share_one_header(tmp_path):
 
 
 def test_emit_rejects_unknown_format():
-    rep = run(RunConfig(algo="fixed", n=7, m=4))
+    rep = run("fixed", WorkloadSpec(kind="uniform", n=7, m=4))
     with pytest.raises(ValueError):
         emit(rep, "xml")
 
@@ -154,7 +165,7 @@ def test_rank_stats_match_brute_force_oracle():
     d_cnt = np.zeros(n + 1)
     w_sum = np.zeros(n + 1)
     w_cnt = np.zeros(n + 1)
-    for u in seq.items:
+    for u in seq:
         k = depth(t.host[u])
         r = rank(rt, u)
         d_sum[r] += k

@@ -83,3 +83,18 @@ def test_opt_cost_floors_every_policy():
             for v in seq:
                 p.serve(v)
             assert p.ledger.cost_total >= opt
+
+
+def test_opt_cost_rejects_a_fractional_item():
+    with pytest.raises(ValueError, match="integer"):
+        opt_cost([1.7, 2], (0, 1, 2))
+
+
+def test_opt_cost_rejects_a_fractional_layout():
+    with pytest.raises(ValueError, match="integer"):
+        opt_cost([1], (0.2, 1, 2))
+
+
+def test_swap_distance_rejects_a_non_permutation():
+    with pytest.raises(ValueError, match="permutation"):
+        swap_distance((0, 0, 1), (0, 1, 2))

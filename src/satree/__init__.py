@@ -36,7 +36,6 @@ from .tree import (
     TreeState,
     depth,
     interchange,
-    relocate_chain,
     routing_header,
     tree_distance,
     tree_path,

@@ -12,7 +12,7 @@ import numpy as np
 from .bench import emit, random_push_rank_stats, run
 from .markov import binomial_identity, concavity_check, expected_state_curve
 from .oracle import check_supported, opt_cost
-from .policies import Policy
+from .policies import POLICY_KINDS, Policy
 from .workloads import WorkloadSpec
 
 
@@ -21,7 +21,7 @@ _OPTIONS = {
     "--algo": dict(default="move-half", help="policy, or comma list for matrix"),
     "--n": dict(type=int, default=15, help="item count, must be 2^d - 1"),
     "--workload": dict(default="uniform", help="workload kind, or comma list for matrix"),
-    "--m": dict(type=int, default=1000, help="request count"),
+    "--m": dict(type=int, default=None, help="request count"),
     "--alpha": dict(type=float, default=1.0, help="zipf exponent"),
     "--subset": dict(type=int, default=1, help="cyclic working-set size"),
     "--trace": dict(default=None, help="trace file for the trace workload"),
@@ -35,10 +35,23 @@ _OPTIONS = {
 _RUN_OPTIONS = tuple(name for name in _OPTIONS if name != "--seeds")
 
 
-def _run(args, algo, workload, seed):
-    spec = WorkloadSpec(kind=workload, n=args.n, m=args.m, alpha=args.alpha,
-                        subset_size=args.subset, path=args.trace, seed=seed)
-    return run(algo, spec, check_mru=args.check_mru, oracle=args.oracle)
+def _request_count(args) -> int:
+    """--m, or 1000 requests when it is omitted."""
+    return 1000 if args.m is None else args.m
+
+
+def _runs(args, algos, workloads):
+    """(algo, WorkloadSpec) for every run in run order, all checked before the first run starts."""
+    if "trace" in workloads and args.m is not None:
+        raise ValueError("--m does not apply to a trace workload, whose length is its request count")
+    runs = []
+    for idx, (algo, workload) in enumerate(itertools.product(algos, workloads)):
+        spec = WorkloadSpec(kind=workload, n=args.n, m=_request_count(args), alpha=args.alpha,
+                            subset_size=args.subset, path=args.trace, seed=args.seed + idx)
+        if algo not in POLICY_KINDS:
+            raise ValueError(f"unknown policy {algo!r}")
+        runs.append((algo, spec))
+    return runs
 
 
 def _write(text, path):
@@ -50,7 +63,8 @@ def _write(text, path):
 
 
 def _cmd_run(args):
-    report = _run(args, args.algo, args.workload, args.seed)
+    ((algo, spec),) = _runs(args, [args.algo], [args.workload])
+    report = run(algo, spec, check_mru=args.check_mru, oracle=args.oracle)
     _write(emit(report, args.format), args.out)
     return 0
 
@@ -58,9 +72,8 @@ def _cmd_run(args):
 def _cmd_matrix(args):
     algos = [a.strip() for a in args.algo.split(",") if a.strip()]
     workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
-    reports = []
-    for idx, (algo, workload) in enumerate(itertools.product(algos, workloads)):
-        reports.append(_run(args, algo, workload, args.seed + idx))
+    reports = [run(algo, spec, check_mru=args.check_mru, oracle=args.oracle)
+               for algo, spec in _runs(args, algos, workloads)]
     _write(emit(reports, args.format), args.out)
     return 0
 
@@ -85,7 +98,8 @@ class DepthStatsRow:
 
 
 def _cmd_depth_stats(args):
-    stats = random_push_rank_stats(args.n, args.m, _seed_list(args), warmup=args.m // 10)
+    m = _request_count(args)
+    stats = random_push_rank_stats(args.n, m, _seed_list(args), warmup=m // 10)
     rows = []
     for r in range(1, args.n + 1):
         dc, wc = int(stats["depth_cnt"][r]), int(stats["w_cnt"][r])
@@ -116,12 +130,13 @@ def _cmd_markov_check(args):
 
 
 def _cmd_oracle_check(args):
-    check_supported(args.n, args.m)
-    if args.n == 3 and args.m <= 6:
-        sequences = itertools.product(range(args.n), repeat=args.m)
+    m = _request_count(args)
+    check_supported(args.n, m)
+    if args.n == 3 and m <= 6:
+        sequences = itertools.product(range(args.n), repeat=m)
     else:
         rng = np.random.default_rng(args.seed)
-        sequences = (rng.integers(0, args.n, size=args.m).tolist() for _ in range(100))
+        sequences = (rng.integers(0, args.n, size=m).tolist() for _ in range(100))
     init = tuple(range(args.n))
     worst = 0.0
     floor_violations = 0

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .tree import CostLedger, TreeState, depth, interchange, relocate_chain, tree_distance
+from .tree import CostLedger, TreeState, depth, interchange, tree_distance
 from .workset import RankTable, WsAccumulator, _level_minima, max_rank_item_at_depth
 
 POLICY_KINDS = ("move-half", "random-push", "max-push", "static-mfu", "fixed")
@@ -63,6 +63,21 @@ def _move_half(p, u, k):
     return interchange(p.tree, u, v), None
 
 
+def _push_down(t, u, chain):
+    """Put u at the root and push the item at each chain server to the next chain server.
+
+    chain lists one server per level, from the root down, and never holds
+    u's server; the item at its last server fills the server u leaves.
+    """
+    guest, host = t.guest, t.host
+    items = guest[chain].tolist()
+    for v, q in zip(items, chain[1:] + [int(host[u])]):
+        guest[q] = v
+        host[v] = q
+    guest[0] = u
+    host[u] = 0
+
+
 def _random_push(p, u, k):
     """Promote u to the root and push one random root-to-depth-k path down one level.
 
@@ -73,20 +88,13 @@ def _random_push(p, u, k):
     t = p.tree
     s = int(t.host[u])
     path = sample_push_path(p.rng, k)
-    old = [int(t.guest[q]) for q in path]
-    t.guest[0] = u
-    t.host[u] = 0
-    for j in range(k):
-        t.guest[path[j + 1]] = old[j]
-        t.host[old[j]] = path[j + 1]
-    extra = 0
-    if path[k] != s:
-        w = old[k]
-        t.guest[s] = w
-        t.host[w] = s
-        extra = tree_distance(path[k], s)
+    if path[k] == s:
+        # u's move empties the path's last server, so the push stops one level above it
+        _push_down(t, u, path[:k])
+        return k + k, path
+    _push_down(t, u, path)
     # u up to the root, the path pushed down, plus the end-of-path item's trip
-    return k + k + extra, path
+    return k + k + tree_distance(path[k], s), path
 
 
 def _max_push(p, u, k):
@@ -105,10 +113,10 @@ def _max_push(p, u, k):
     # a level's max-rank item holds its minimum stamp, and only it, as stamps are distinct
     top = (1 << k) - 1
     lru = np.flatnonzero(st[:top] == mins[t.depths[:top]]).tolist()  # a server per level
-    demoted = t.guest[lru].tolist()
-    dests = [int(t.host[u])] + lru[:0:-1]
-    moves = list(zip(demoted[::-1], dests)) + [(u, lru[0])]
-    return relocate_chain(t, moves), None
+    s = int(t.host[u])
+    _push_down(t, u, lru)
+    # u's k hops to the root, then each demoted item's hop to the next level's server or to s
+    return k + sum(map(tree_distance, lru, lru[1:] + [s])), None
 
 
 def _stay(p, u, k):

@@ -167,36 +167,3 @@ def interchange(t: TreeState, u, v) -> int:
     t.host[u], t.host[v] = b, a
     return 2 * d - 1
 
-
-def relocate_chain(t: TreeState, moves) -> int:
-    """Apply an ordered chain of (item, destination-server) relocations.
-
-    The first item is lifted out, leaving a hole at its source; every later
-    move must slide its item into the current hole, and the chain must close
-    by leaving the final hole at the first item's destination.  Returns the
-    cost: each move's hop count from its source to its destination.
-    """
-    if not moves:
-        return 0
-    plan = []
-    hole = None
-    cost = 0
-    for i, (v, dest) in enumerate(moves):
-        v = t._check_item(v)
-        dest = t._check_server(dest)
-        src = int(t.host[v])
-        if i == 0:
-            hole = src
-        else:
-            if dest != hole:
-                raise ValueError(f"destination {dest} occupied when relocating item {v}")
-            hole = src
-        cost += tree_distance(src, dest)
-        plan.append((v, dest))
-    first_dest = plan[0][1]
-    if first_dest != hole:
-        raise ValueError(f"destination {first_dest} occupied when relocating item {plan[0][0]}")
-    for v, dest in plan:
-        t.guest[dest] = v
-        t.host[v] = dest
-    return cost

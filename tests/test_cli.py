@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from satree import Policy
 from satree.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -78,6 +79,34 @@ def test_trace_workload(tmp_path):
     assert rc == 0
     (rep,) = read_csv(out)
     assert rep["m"] == "3"
+
+
+@pytest.mark.parametrize("command", ["run", "matrix"])
+def test_trace_refuses_a_request_count(command, tmp_path, capsys):
+    # a trace's length is its request count, so --m would be silently ignored
+    trace = tmp_path / "t.txt"
+    trace.write_text("0\n2\n1\n")
+    argv = [command, "--algo", "fixed", "--n", "3", "--workload", "trace", "--trace", str(trace)]
+    assert main(argv + ["--m", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("satree: --m") and captured.err.count("\n") == 1
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[3] == "3"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--algo", "fixed", "--workload", "uniform,bogus"],
+    ["--algo", "fixed,bogus", "--workload", "uniform"],
+])
+def test_matrix_checks_every_run_before_the_first(argv, monkeypatch, capsys):
+    served = []
+    serve = Policy.serve
+    monkeypatch.setattr(Policy, "serve", lambda self, u: served.append(u) or serve(self, u))
+    assert main(["matrix", "--n", "7", "--m", "200"] + argv) == 2
+    assert served == []
+    err = capsys.readouterr().err
+    assert err.startswith("satree: unknown") and err.count("\n") == 1
 
 
 def test_depth_stats_csv(tmp_path):

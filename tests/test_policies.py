@@ -21,7 +21,9 @@ from satree import (
     is_mru,
     rank,
     record,
-    relocate_chain,
+    routing_header,
+    sample_push_path,
+    tree_distance,
 )
 from satree.policies import POLICY_KINDS
 from satree.tree import depth
@@ -131,6 +133,61 @@ def test_random_push_is_deterministic_given_seed():
     assert final_state(123) != final_state(124)
 
 
+def store_loop_random_push_serve(p, u):
+    """Random-push's serve with its own push loop: one guest/host store per level, u to the
+    root, and the end-of-path item's trip to u's old server charged by tree distance."""
+    t = p.tree
+    k = t.item_depth(u)
+    adjust, path = 0, None
+    if k > 0:
+        s = int(t.host[u])
+        path = sample_push_path(p.rng, k)
+        old = [int(t.guest[q]) for q in path]
+        t.guest[0] = u
+        t.host[u] = 0
+        for j in range(k):
+            t.guest[path[j + 1]] = old[j]
+            t.host[old[j]] = path[j + 1]
+        extra = 0
+        if path[k] != s:
+            w = old[k]
+            t.guest[s] = w
+            t.host[w] = s
+            extra = tree_distance(path[k], s)
+        adjust = k + k + extra
+    r = record(p.ranks, u)
+    p.ledger.access_total += k
+    p.ledger.adjust_total += adjust
+    p.ws.total += math.log2(r)
+    return k, adjust, r, path
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       requests=st.lists(st.tuples(st.integers(0, 254), st.booleans()), max_size=150))
+def test_random_push_matches_store_loop(d, seed, requests):
+    # aim=True scripts the push path down to u's own server; otherwise the bits are random,
+    # and the path ends on u's server only by chance
+    n = (1 << d) - 1
+    fast, slow = scripted([], n), scripted([], n)
+    rng = np.random.default_rng(seed)
+    for u, aim in requests:
+        u %= n
+        if aim:
+            bits = [int(b) for b in routing_header(fast.tree, u)]
+        else:
+            bits = rng.integers(0, 2, size=fast.tree.item_depth(u)).tolist()
+        fast.rng.bits += bits
+        slow.rng.bits += bits
+        assert fast.serve(u) == store_loop_random_push_serve(slow, u)
+        fast.tree.check_bijection()
+    assert fast.tree.guest.tolist() == slow.tree.guest.tolist()
+    assert fast.tree.host.tolist() == slow.tree.host.tolist()
+    assert (fast.ledger.access_total, fast.ledger.adjust_total) == \
+        (slow.ledger.access_total, slow.ledger.adjust_total)
+    assert fast.ws.total == slow.ws.total
+
+
 def test_max_push_root_request_only_updates_rank():
     p = Policy("max-push", 7)
     assert p.serve(0)[:2] == (0, 0)
@@ -190,7 +247,11 @@ def argsort_max_push_serve(p, u):
         demoted = [int(order[(1 << (i + 1)) - 2]) for i in range(k)]
         dests = [int(t.host[u])] + [int(t.host[w]) for w in demoted[:0:-1]]
         moves = list(zip(demoted[::-1], dests)) + [(u, int(t.host[demoted[0]]))]
-        adjust = relocate_chain(t, moves)
+        # every hop is measured before any item moves, then each move is one guest/host store
+        adjust = sum(tree_distance(t.host[v], dest) for v, dest in moves)
+        for v, dest in moves:
+            t.guest[dest] = v
+            t.host[v] = dest
     r = record(p.ranks, u)
     ledger.access_total += k
     ledger.adjust_total += adjust

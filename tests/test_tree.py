@@ -1,4 +1,4 @@
-"""Tree-state primitives: geometry, routing, swap costs, relocation chains."""
+"""Tree-state primitives: geometry, routing, swap costs, interchange."""
 
 import collections
 
@@ -12,7 +12,6 @@ from satree import (
     TreeState,
     depth,
     interchange,
-    relocate_chain,
     routing_header,
     tree_distance,
     tree_path,
@@ -181,49 +180,6 @@ def test_interchange_cost_matches_distance_oracle():
         charged = interchange(t, u, v)
         assert charged == 2 * d - 1 <= 2 * d
         t.check_bijection()
-
-
-def test_relocate_chain_empty():
-    t = TreeState(7)
-    assert relocate_chain(t, []) == 0
-    assert t.guest.tolist() == list(range(7))
-
-
-def test_relocate_chain_filler_link_cost():
-    # hole opens at server 1; item 7 slides in across two hops, closing at server 7
-    t = TreeState(15)
-    cost = relocate_chain(t, [(1, 7), (7, 1)])
-    assert cost == 4  # each leg of the two-cycle is a 2-hop trip
-    assert int(t.host[1]) == 7 and int(t.host[7]) == 1
-    t.check_bijection()
-
-
-def test_relocate_chain_three_cycle_cost_from_oracle():
-    t = TreeState(3)
-    moves = [(0, 2), (1, 0), (2, 1)]
-    expect = sum(bfs_distance(3, src, dst) for src, dst in ((0, 2), (1, 0), (2, 1)))
-    assert relocate_chain(t, moves) == expect == 4
-    assert t.guest.tolist() == [1, 2, 0]
-    t.check_bijection()
-
-
-def test_relocate_chain_rejects_occupied_destination():
-    t = TreeState(7)
-    with pytest.raises(ValueError, match="occupied"):
-        relocate_chain(t, [(0, 3), (5, 6)])  # 6 was never vacated
-    with pytest.raises(ValueError, match="occupied"):
-        relocate_chain(t, [(0, 3), (5, 0)])  # chain never frees server 3
-    # failed chains must not mutate the tree
-    assert t.guest.tolist() == list(range(7))
-
-
-def test_relocate_chain_rejects_fractional_servers():
-    t = TreeState(7)
-    with pytest.raises(ValueError):
-        relocate_chain(t, [(1, 2.7), (2, 1.2)])
-    assert t.guest.tolist() == list(range(7)) and t.host.tolist() == list(range(7))
-    relocate_chain(t, [(1, np.int64(2)), (2, np.int64(1))])  # numpy integers are exact integers
-    assert t.guest.tolist() == [0, 2, 1, 3, 4, 5, 6]
 
 
 def test_ledger_totals_are_monotone_sums():

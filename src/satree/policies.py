@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from .tree import CostLedger, TreeState, depth, interchange, tree_distance
-from .workset import RankTable, WsAccumulator, _level_minima, max_rank_item_at_depth
+from .workset import RankTable, WsAccumulator, is_mru, max_rank_item_at_depth
 
 POLICY_KINDS = ("move-half", "random-push", "max-push", "static-mfu", "fixed")
 # the paper's per-request cost bounds, as multiples of the request's access cost
@@ -53,7 +54,7 @@ def expected_path_length(t: TreeState, freq) -> float:
     return float(np.add.accumulate(freq * t.depths[t.host])[-1])
 
 
-def _move_half(p, u, k):
+def _move_half(p, u, k, r):
     """Interchange u with the max-rank item at depth k//2."""
     if k == 0:
         return 0, None
@@ -78,7 +79,7 @@ def _push_down(t, u, chain):
     host[u] = 0
 
 
-def _random_push(p, u, k):
+def _random_push(p, u, k, r):
     """Promote u to the root and push one random root-to-depth-k path down one level.
 
     The item displaced off the end of the path fills u's vacated server.
@@ -97,29 +98,42 @@ def _random_push(p, u, k):
     return k + k + tree_distance(path[k], s), path
 
 
-def _max_push(p, u, k):
+def _max_push(p, u, k, r):
     """Demote each level's max-rank item one level, restoring the exact MRU layout.
 
+    In an MRU tree level j holds ranks 2^j .. 2^(j+1)-1, so the item
+    demoted from level j is the one of rank 2^(j+1)-1, which a Fenwick
+    descent finds: a request costs O(k log n).  The full O(n) MRU check
+    runs once per binding, on the first request and on the next one after
+    p.tree, p.ranks, the tree's guest or host or the table's stamps are
+    rebound.  Every request checks that u and the items it demotes sit at
+    their MRU depths, which also makes the chain one server per level and
+    keeps u's server out of it.  An in-place change made outside serve that
+    leaves other parts of the tree out of MRU order is not caught here;
+    bench.run(check_mru=True) checks the whole tree after every request.
     Each relocation may cross the whole tree, so the cost grows like k^2/2.
-    Raises ValueError, before anything moves, unless the tree is MRU.
+    Raises ValueError, before anything moves, when a check fails.
     """
-    t = p.tree
-    st = p.ranks.stamps[t.guest]
-    mins, mru = _level_minima(t, st)
-    if not mru:
+    t, rt = p.tree, p.ranks
+    bound = (t, rt, t.guest, t.host, rt.stamps)
+    if p._mru_bound is None or not all(map(operator.is_, bound, p._mru_bound)):
+        if not is_mru(t, rt):
+            raise ValueError("max-push requires an MRU tree")
+        rt._map_slots()
+        p._mru_bound = bound
+    chain = t.host[[rt._item_of_rank((2 << j) - 1) for j in range(k)]].tolist() if k else []
+    # depth j holds the servers s with j + 1 bits in s + 1, and in an MRU tree the ranks with j + 1 bits
+    if [(q + 1).bit_length() for q in chain] + [r.bit_length()] != list(range(1, k + 2)):
         raise ValueError("max-push requires an MRU tree")
     if k == 0:
         return 0, None
-    # a level's max-rank item holds its minimum stamp, and only it, as stamps are distinct
-    top = (1 << k) - 1
-    lru = np.flatnonzero(st[:top] == mins[t.depths[:top]]).tolist()  # a server per level
     s = int(t.host[u])
-    _push_down(t, u, lru)
+    _push_down(t, u, chain)
     # u's k hops to the root, then each demoted item's hop to the next level's server or to s
-    return k + sum(map(tree_distance, lru, lru[1:] + [s])), None
+    return k + sum(map(tree_distance, chain, chain[1:] + [s])), None
 
 
-def _stay(p, u, k):
+def _stay(p, u, k, r):
     return 0, None
 
 
@@ -146,6 +160,8 @@ class Policy:
         self.ledger = CostLedger()
         self.ws = WsAccumulator()
         self.rng = np.random.default_rng(seed) if kind == "random-push" else None
+        # max-push: the (tree, ranks, guest, host, stamps) its last full MRU check passed on
+        self._mru_bound = None
 
     def serve(self, u):
         """Serve one request for item u; returns (access, adjust, rank, path).
@@ -154,19 +170,22 @@ class Policy:
         arrives, adjust the swaps spent relocating, and path random-push's
         sampled push path (None for the other kinds, or when u is at the
         root).  This is the only place that charges the ledger and the
-        working-set total.  A rejected request (an item that is not an
-        integer in 0..n-1, or max-push on a tree that is not MRU) raises
-        ValueError and changes nothing; a request over its kind's cost
-        bound raises RuntimeError with the tree moved but nothing charged.
+        working-set total.  A rejected request raises ValueError and
+        changes nothing: an item that is not an integer in 0..n-1, or, for
+        max-push, a tree that fails the full MRU check (on the first
+        request and after the tree, the rank table or their arrays are
+        rebound) or has u or an item it would demote off its MRU depth.
+        A request over its kind's cost bound raises RuntimeError with the
+        tree moved but nothing charged.
         """
         u = self.tree._check_item(u)
         k = depth(self.tree.host[u])
-        adjust, path = _ADJUST[self.kind](self, u, k)
+        r = self.ranks.rank(u)  # ranks do not depend on the tree, so the adjustment leaves r as is
+        adjust, path = _ADJUST[self.kind](self, u, k, r)
         factor = _COST_FACTOR.get(self.kind)
         if factor is not None and k + adjust > factor * k:
             raise RuntimeError(f"{self.kind} request for item {u} cost {k + adjust}, "
                                f"above {factor}x its access {k}")
-        r = self.ranks.rank(u)
         self.ranks._touch(u)
         self.ledger.access_total += k
         self.ledger.adjust_total += adjust

@@ -12,9 +12,17 @@ def is_complete_size(n) -> bool:
     return n >= 1 and (n & (n + 1)) == 0
 
 
+def _server_id(s) -> int:
+    """s as a Python int, for an exact integer server id; ValueError otherwise."""
+    try:
+        return operator.index(s)
+    except TypeError:
+        raise ValueError(f"server id must be an integer, got {s!r}") from None
+
+
 def depth(s) -> int:
     """Depth of server s in heap layout; the root (s=0) has depth 0."""
-    s = int(s)
+    s = _server_id(s)
     if s < 0:
         raise ValueError(f"server index {s} out of range")
     return (s + 1).bit_length() - 1
@@ -32,12 +40,12 @@ def _check_index(v, n, what="item") -> int:
 
 
 def parent(s) -> int:
-    return (int(s) - 1) // 2
+    return (_server_id(s) - 1) // 2
 
 
 def tree_path(a, b) -> list[int]:
     """Servers on the unique a-b path, endpoints included."""
-    a, b = int(a), int(b)
+    a, b = _server_id(a), _server_id(b)
     up_a, up_b = [a], [b]
     while depth(up_a[-1]) > depth(up_b[-1]):
         up_a.append(parent(up_a[-1]))
@@ -57,7 +65,7 @@ def tree_distance(a, b) -> int:
     lowest common ancestor sits as many levels above both as the bit length
     of their XOR.
     """
-    x, y = int(a) + 1, int(b) + 1
+    x, y = _server_id(a) + 1, _server_id(b) + 1
     if x < 1 or y < 1:
         raise ValueError(f"server index {min(x, y) - 1} out of range")
     lift = x.bit_length() - y.bit_length()

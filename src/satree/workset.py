@@ -30,11 +30,19 @@ class RankTable:
     the item at server i as i + 1, and given stamps, which must be
     distinct, keep their order.  So a fresh identity layout is an MRU tree
     and every argmax over ranks is tie-free.
+
+    The item of a given rank is a Fenwick descent to its slot plus a
+    slot -> item map (int32, one entry per slot).  Only max-push reads it,
+    so the map is allocated by _map_slots on first use; from then on each
+    record stores one entry and each renumbering rewrites it.  Writing
+    stamps other than through record leaves it stale until the next
+    _map_slots.
     """
 
     def __init__(self, n, stamps=None):
         self.n = int(n)
         self._size = self.n + self.n // 4 + 1
+        self._item = None  # the slot -> item map, allocated by _map_slots
         if stamps is None:
             self.stamps = np.arange(self.n - 1, -1, -1, dtype=np.int64)
             self._reset_fenwick()
@@ -60,8 +68,17 @@ class RankTable:
 
     def _renumber(self):
         """Restamp the items 0..n-1 from least to most recent."""
-        self.stamps[np.argsort(self.stamps)] = np.arange(self.n)
+        order = np.argsort(self.stamps)
+        self.stamps[order] = np.arange(self.n)
+        if self._item is not None:
+            np.frombuffer(self._item, dtype=np.int32)[:self.n] = order
         self._reset_fenwick()
+
+    def _map_slots(self):
+        """Allocate the slot -> item map if there is none, and fill it from the stamps."""
+        if self._item is None:
+            self._item = memoryview(bytearray(4 * self._size)).cast("i")
+        np.frombuffer(self._item, dtype=np.int32)[self.stamps] = np.arange(self.n, dtype=np.int32)
 
     def _reset_fenwick(self):
         """Fenwick tree (int32 counts, indexed from 1) with slots 0..n-1 live; the clock at n."""
@@ -80,6 +97,22 @@ class RankTable:
             i &= i - 1
         return self.n - older + 1
 
+    def _item_of_rank(self, r) -> int:
+        """The item of rank r in 1..n, by a Fenwick descent; needs the slot map.
+
+        The item sits at the (n - r + 1)-th live slot: the descent finds the
+        last slot whose prefix count stays below that, and it is the next one.
+        """
+        fen, size, slot, left = self._fen, self._size, 0, self.n - r + 1
+        step = 1 << (size.bit_length() - 1)
+        while step:
+            i = slot + step
+            if i <= size and fen[i] < left:
+                slot = i
+                left -= fen[i]
+            step >>= 1
+        return self._item[slot]
+
     def _touch(self, v):
         """Move item v to the clock slot, the most recent one."""
         fen, size = self._fen, self._size
@@ -92,6 +125,8 @@ class RankTable:
             fen[i] += 1
             i += i & -i
         self.stamps[v] = self.clock
+        if self._item is not None:
+            self._item[self.clock] = v
         self.clock += 1
         if self.clock == size:
             self._renumber()

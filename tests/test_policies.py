@@ -18,6 +18,7 @@ from satree import (
     TreeState,
     build_static_mfu,
     expected_path_length,
+    interchange,
     is_mru,
     rank,
     record,
@@ -25,9 +26,9 @@ from satree import (
     sample_push_path,
     tree_distance,
 )
-from satree.policies import POLICY_KINDS
+from satree.policies import POLICY_KINDS, _push_down
 from satree.tree import depth
-from satree.workset import rank_order
+from satree.workset import _level_minima, rank_order
 
 
 class ScriptedRng:
@@ -275,6 +276,116 @@ def test_max_push_matches_argsort_rule(d, seed, data):
         assert fast.serve(u) == argsort_max_push_serve(slow, u)
     assert fast.tree.guest.tolist() == slow.tree.guest.tolist()
     assert fast.ws.total == slow.ws.total and fast.ledger.cost_total == slow.ledger.cost_total
+
+
+def level_minima_max_push_serve(p, u):
+    """Max-push's serve as it was before the Fenwick descents: the per-level stamp minima and
+    the MRU check on every request, and each level's minimum-stamp server as the push chain."""
+    t = p.tree
+    k = t.item_depth(u)
+    stamps = p.ranks.stamps[t.guest]
+    mins, mru = _level_minima(t, stamps)
+    if not mru:
+        raise ValueError("max-push requires an MRU tree")
+    adjust = 0
+    if k > 0:
+        top = (1 << k) - 1
+        lru = np.flatnonzero(stamps[:top] == mins[t.depths[:top]]).tolist()
+        s = int(t.host[u])
+        _push_down(t, u, lru)
+        adjust = k + sum(map(tree_distance, lru, lru[1:] + [s]))
+    r = record(p.ranks, u)
+    p.ledger.access_total += k
+    p.ledger.adjust_total += adjust
+    p.ws.total += math.log2(r)
+    return k, adjust, r, None
+
+
+def random_mru_layout(n, rng):
+    """Distinct stamps and a tree with ranks 2^i .. 2^(i+1)-1 in random order at each depth i."""
+    stamps = rng.permutation(n)
+    order = np.argsort(-stamps)
+    guests = np.concatenate([rng.permutation(order[(1 << i) - 1:(1 << (i + 1)) - 1])
+                             for i in range(n.bit_length())])
+    return TreeState(n, guests=guests), RankTable(n, stamps=stamps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_max_push_matches_level_minima_rule(d, seed, data):
+    # the slot map must survive at least three renumberings, one every n//4 + 1 requests
+    n = (1 << d) - 1
+    laps = 3 * (n // 4 + 1)
+    fast, slow = Policy("max-push", n), Policy("max-push", n)
+    rng = np.random.default_rng(seed)
+    fast.tree, fast.ranks = random_mru_layout(n, rng)
+    slow.tree, slow.ranks = TreeState(n, guests=fast.tree.guest), RankTable(n, stamps=fast.ranks.stamps)
+    for u in data.draw(st.lists(st.integers(0, n - 1), min_size=laps, max_size=laps + 60)):
+        assert fast.serve(u) == level_minima_max_push_serve(slow, u)
+    assert fast.tree.guest.tolist() == slow.tree.guest.tolist()
+    assert fast.tree.host.tolist() == slow.tree.host.tolist()
+    assert fast.ranks.stamps.tolist() == slow.ranks.stamps.tolist()
+    assert (fast.ledger.access_total, fast.ledger.adjust_total) == \
+        (slow.ledger.access_total, slow.ledger.adjust_total)
+    assert fast.ws.total == slow.ws.total
+
+
+def non_mru_rebinding(p, what):
+    """Rebind one of max-push's tree, rank table or stamps to a state that is not MRU."""
+    t, rt = p.tree, p.ranks
+    root, leaf = int(t.guest[0]), int(t.guest[-1])
+    if what == "tree":
+        guests = t.guest.copy()
+        guests[0], guests[-1] = leaf, root
+        p.tree = TreeState(t.n, guests=guests)
+    elif what == "ranks":
+        p.ranks = RankTable(t.n, stamps=np.arange(t.n))  # item 0 the least recent, at the root
+    else:
+        stamps = rt.stamps.copy()
+        stamps[root], stamps[leaf] = stamps[leaf], stamps[root]
+        rt.stamps = stamps
+
+
+@pytest.mark.parametrize("what", ["tree", "ranks", "stamps"])
+def test_max_push_rejects_a_non_mru_rebinding_every_time(what):
+    p = Policy("max-push", 15)
+    for v in (9, 3, 14, 0, 9):
+        p.serve(v)
+    non_mru_rebinding(p, what)
+    before = snapshot(p)
+    for v in (5, 5, 11):
+        with pytest.raises(ValueError, match="MRU"):
+            p.serve(v)
+        assert snapshot(p) == before
+
+
+def test_max_push_rejects_a_moved_least_recent_item_before_moving():
+    p = Policy("max-push", 15)
+    p.serve(0)  # binds the fresh identity layout, where item i has rank i + 1
+    interchange(p.tree, 2, 3)  # level 1's least recent item (rank 3) down to depth 2
+    before = snapshot(p)
+    with pytest.raises(ValueError, match="MRU"):
+        p.serve(14)
+    assert snapshot(p) == before
+
+
+def test_max_push_rejects_a_requested_item_off_its_mru_depth():
+    p = Policy("max-push", 15)
+    p.serve(0)
+    record(p.ranks, 14)  # item 14 becomes rank 1 at depth 3, so the root's item 0 has rank 2
+    before = snapshot(p)
+    with pytest.raises(ValueError, match="MRU"):
+        p.serve(0)
+    assert snapshot(p) == before
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_only_max_push_allocates_the_slot_map(kind):
+    n = 15
+    p = make_policy(kind, n)
+    for v in np.random.default_rng(3).integers(0, n, size=4 * (n // 4 + 1)):
+        p.serve(int(v))
+    assert (p.ranks._item is not None) == (kind == "max-push")
 
 
 def test_fixed_policy_never_adjusts():

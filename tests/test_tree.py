@@ -16,7 +16,7 @@ from satree import (
     tree_distance,
     tree_path,
 )
-from satree.tree import follow_header
+from satree.tree import follow_header, parent
 
 
 def bfs_distance(n, a, b):
@@ -114,6 +114,39 @@ def test_tree_distance_rejects_negative_servers():
         tree_distance(-1, 3)
     with pytest.raises(ValueError):
         tree_distance(3, -2)
+
+
+FRACTIONAL = (1.9, 2.5, 2.0, np.float64(3.0), "3", None)
+
+
+@pytest.mark.parametrize("bad", FRACTIONAL)
+def test_depth_takes_integer_server_ids_only(bad):
+    with pytest.raises(ValueError, match="server id must be an integer"):
+        depth(bad)
+    assert depth(np.int64(2)) == depth(np.int32(2)) == 1
+
+
+@pytest.mark.parametrize("bad", FRACTIONAL)
+def test_parent_takes_integer_server_ids_only(bad):
+    with pytest.raises(ValueError, match="server id must be an integer"):
+        parent(bad)
+    assert parent(np.int64(2)) == parent(np.uint8(2)) == 0
+
+
+@pytest.mark.parametrize("bad", FRACTIONAL)
+def test_tree_path_takes_integer_server_ids_only(bad):
+    for a, b in ((bad, 2), (1, bad)):
+        with pytest.raises(ValueError, match="server id must be an integer"):
+            tree_path(a, b)
+    assert tree_path(np.int64(1), np.int32(2)) == [1, 0, 2]
+
+
+@pytest.mark.parametrize("bad", FRACTIONAL)
+def test_tree_distance_takes_integer_server_ids_only(bad):
+    for a, b in ((bad, 0), (0, bad)):
+        with pytest.raises(ValueError, match="server id must be an integer"):
+            tree_distance(a, b)
+    assert tree_distance(np.int64(1), np.int16(2)) == 2
 
 
 def test_routing_header_examples():

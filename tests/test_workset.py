@@ -116,6 +116,20 @@ def test_fenwick_ranks_match_scan(n, data):
     assert 0 <= rt.stamps.min() and rt.stamps.max() < rt.clock
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 3, 7, 255]), data=st.data())
+def test_item_of_rank_inverts_rank(n, data):
+    # the slot map is built once, then kept by every record and every renumbering
+    laps = 3 * (n // 4 + 1)
+    rt = RankTable(n, stamps=data.draw(st.permutations(range(0, 3 * n, 3))))
+    rt._map_slots()
+    for v in data.draw(st.lists(st.integers(0, n - 1), min_size=laps, max_size=laps + 40)):
+        record(rt, v)
+        probe = data.draw(st.integers(1, n))
+        assert rank(rt, rt._item_of_rank(probe)) == probe
+    assert [rt._item_of_rank(r) for r in range(1, n + 1)] == rank_order(rt).tolist()
+
+
 def test_stamps_must_be_distinct():
     with pytest.raises(ValueError, match="distinct"):
         RankTable(3, stamps=[5, 2, 5])

@@ -3,12 +3,14 @@
 The chain models the depth drift of the item of recency rank i between its
 own accesses: from depth j it is pushed to j+1 with probability 2^-j and
 stays otherwise; depth i-1 absorbs.  Everything here is exact dynamic
-programming over the state vector, no simulation.
+programming over the state vector, no simulation: walk_distribution and
+expected_state_curve read one walk, whose i and w must be exact integers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,29 +42,36 @@ class DepthDistribution:
         return 1.0 - p.cumsum()
 
 
-def _step(probs, push):
-    """One chain step: probs over states, push[j] = down-transition probability."""
-    nxt = probs * (1.0 - push)
-    nxt[1:] += probs[:-1] * push[:-1]
-    return nxt
+def _count(x) -> int:
+    """x as a Python int, for an exact integer; ValueError otherwise."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"need an integer, got {x!r}") from None
 
 
-def _push_vector(i):
+def _walk(i, w):
+    """Yield the state distribution after 0, 1, ..., w steps from state 0 on the i-state chain."""
+    i, w = _count(i), _count(w)
+    if i < 1 or w < 0:
+        raise ValueError("need i >= 1 and w >= 0")
     push = np.exp2(-np.arange(i, dtype=np.float64))
     push[i - 1] = 0.0  # deepest state absorbs
-    return push
+    stay = 1.0 - push
+    probs = np.zeros(i)
+    probs[0] = 1.0
+    yield probs
+    for _ in range(w):
+        nxt = probs * stay
+        nxt[1:] += probs[:-1] * push[:-1]
+        probs = nxt
+        yield probs
 
 
 def walk_distribution(i, w) -> DepthDistribution:
     """Exact state distribution after a w-step walk from state 0 on the i-state chain."""
-    i, w = int(i), int(w)
-    if i < 1 or w < 0:
-        raise ValueError("need i >= 1 and w >= 0")
-    probs = np.zeros(i)
-    probs[0] = 1.0
-    push = _push_vector(i)
-    for _ in range(w):
-        probs = _step(probs, push)
+    for probs in _walk(i, w):
+        pass
     return DepthDistribution(probs / probs.sum())
 
 
@@ -72,31 +81,21 @@ def expected_state(i, w) -> float:
 
 
 def expected_state_curve(i, w_max) -> np.ndarray:
-    """expected_state(i, w) for all w = 0..w_max in one DP sweep."""
-    i, w_max = int(i), int(w_max)
-    states = np.arange(i, dtype=np.float64)
-    probs = np.zeros(i)
-    probs[0] = 1.0
-    push = _push_vector(i)
-    out = np.empty(w_max + 1)
-    out[0] = 0.0
-    for w in range(1, w_max + 1):
-        probs = _step(probs, push)
-        out[w] = float(probs @ states)
-    return out
+    """expected_state(i, w) for all w = 0..w_max in one walk."""
+    walk = _walk(i, w_max)
+    states = np.arange(next(walk).size, dtype=np.float64)  # the walk starts at state 0, mean 0
+    return np.array([0.0] + [float(probs @ states) for probs in walk])
 
 
 def binomial_identity(w) -> float:
     """Mean of Binomial(w, 1/w) evaluated term by term; equals 1 for every w >= 1."""
-    w = int(w)
+    w = _count(w)
     if w < 1:
         raise ValueError("need w >= 1")
-    total = 0.0
-    for i in range(w + 1):
-        stay = (w - 1) / w
+    stay, total = (w - 1) / w, 0.0
+    for i in range(1, w + 1):  # the i = 0 term is 0
         # 0^0 := 1 so the w = 1 endpoint is well defined
-        term = math.comb(w, i) * stay ** (w - i) * (1 / w) ** i * i if i else 0.0
-        total += term
+        total += math.comb(w, i) * stay ** (w - i) * (1 / w) ** i * i
     return total
 
 
@@ -107,11 +106,9 @@ _CONCAVITY_TOL = 1e-12
 
 def concavity_check(i, w_max) -> bool:
     """True iff the first differences of expected_state are non-increasing over 1..w_max."""
-    if w_max < 2:
+    if _count(w_max) < 2:
         raise ValueError("need w_max >= 2")
-    curve = expected_state_curve(i, w_max)
-    diffs = np.diff(curve)
-    return bool((np.diff(diffs) <= _CONCAVITY_TOL).all())
+    return bool((np.diff(expected_state_curve(i, w_max), 2) <= _CONCAVITY_TOL).all())
 
 
 def stochastically_leq(x: DepthDistribution, y: DepthDistribution, tol=0.0) -> bool:

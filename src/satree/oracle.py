@@ -1,4 +1,8 @@
-"""Exact offline optimum on tiny trees by dynamic programming over all layouts."""
+"""Exact offline optimum on tiny trees by dynamic programming over all layouts.
+
+opt_cost and swap_distance relax one layout's cost vector over the swap graph
+of all n! layouts; check_supported is the one rule on n and the request count.
+"""
 
 from __future__ import annotations
 
@@ -27,21 +31,26 @@ class _ConfigSpace:
     """All layouts of an n-server tree with the single-swap adjacency between them."""
 
     def __init__(self, n):
-        self.n = n
         self.perms = list(itertools.permutations(range(n)))
         self.index = {p: i for i, p in enumerate(self.perms)}
         P = len(self.perms)
         self.neighbors = np.empty((P, n - 1), dtype=np.int64)
         depths = [depth(s) for s in range(n)]
+        edges = [(s, parent(s)) for s in range(1, n)]
         self.item_depth = np.empty((P, n), dtype=np.int64)
         for i, p in enumerate(self.perms):
-            for s in range(1, n):
+            for s, ps in edges:
                 q = list(p)
-                q[s], q[parent(s)] = q[parent(s)], q[s]
+                q[s], q[ps] = q[ps], q[s]
                 self.neighbors[i, s - 1] = self.index[tuple(q)]
             for s, item in enumerate(p):
                 self.item_depth[i, item] = depths[s]
-        self._dist_memo = {}
+
+    def start(self, layout):
+        """Costs before any move: 0 at the given layout, out of reach everywhere else."""
+        f = np.full(len(self.perms), _INF, dtype=np.int64)
+        f[self.index[layout]] = 0
+        return f
 
     def relax(self, f):
         """g(c) = min over c' of f(c') + swap distance from c' to c."""
@@ -52,21 +61,9 @@ class _ConfigSpace:
                 return h
             g = h
 
-    def distances_from(self, idx):
-        d = self._dist_memo.get(idx)
-        if d is None:
-            f = np.full(len(self.perms), _INF, dtype=np.int64)
-            f[idx] = 0
-            d = self.relax(f)
-            self._dist_memo[idx] = d
-        return d
 
-
-@lru_cache(maxsize=None)
-def _space(n) -> _ConfigSpace:
-    if n not in ORACLE_SIZES:
-        raise ValueError(f"oracle supports n in {ORACLE_SIZES}, got {n}")
-    return _ConfigSpace(n)
+# one configuration space per size, built on first use; callers run check_supported first
+_space = lru_cache(maxsize=None)(_ConfigSpace)
 
 
 def _as_config(layout):
@@ -83,8 +80,9 @@ def swap_distance(a, b) -> int:
     a, b = _as_config(a), _as_config(b)
     if len(a) != len(b):
         raise ValueError("layouts have different sizes")
+    check_supported(len(a), 0)
     space = _space(len(a))
-    return int(space.distances_from(space.index[a])[space.index[b]])
+    return int(space.relax(space.start(a))[space.index[b]])
 
 
 def opt_cost(seq, init) -> int:
@@ -95,10 +93,9 @@ def opt_cost(seq, init) -> int:
     """
     init = _as_config(init)
     n = len(init)
-    space = _space(n)
     check_supported(n, len(seq))
-    f = np.full(len(space.perms), _INF, dtype=np.int64)
-    f[space.index[init]] = 0
+    space = _space(n)
+    f = space.start(init)
     for v in seq:
         f = space.relax(f) + space.item_depth[:, _check_index(v, n)]
     return int(f.min())

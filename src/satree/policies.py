@@ -7,7 +7,8 @@ import operator
 
 import numpy as np
 
-from .tree import CostLedger, TreeState, depth, interchange, tree_distance
+from .tree import (CostLedger, TreeState, _check_index, depth, interchange, is_complete_size,
+                   tree_distance)
 from .workset import RankTable, WsAccumulator, is_mru, max_rank_item_at_depth
 
 POLICY_KINDS = ("move-half", "random-push", "max-push", "static-mfu", "fixed")
@@ -40,7 +41,7 @@ def build_static_mfu(freq) -> TreeState:
     """Place items top-down, left-to-right in descending frequency (ties by item id)."""
     freq = np.asarray(freq, dtype=np.float64)
     n = freq.shape[0]
-    if not (n >= 1 and (n & (n + 1)) == 0):
+    if not is_complete_size(n):
         raise ValueError(f"item count must be 2^d - 1 for d >= 1, got {n}")
     freq = _check_freq(freq, n)
     # a stable sort keeps equal frequencies in item id order
@@ -178,7 +179,7 @@ class Policy:
         A request over its kind's cost bound raises RuntimeError with the
         tree moved but nothing charged.
         """
-        u = self.tree._check_item(u)
+        u = _check_index(u, self.tree.n)
         k = depth(self.tree.host[u])
         r = self.ranks.rank(u)  # ranks do not depend on the tree, so the adjustment leaves r as is
         adjust, path = _ADJUST[self.kind](self, u, k, r)

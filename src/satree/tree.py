@@ -13,19 +13,19 @@ def is_complete_size(n) -> bool:
 
 
 def _server_id(s) -> int:
-    """s as a Python int, for an exact integer server id; ValueError otherwise."""
+    """s as a Python int, for an exact non-negative integer server id; ValueError otherwise."""
     try:
-        return operator.index(s)
+        s = operator.index(s)
     except TypeError:
         raise ValueError(f"server id must be an integer, got {s!r}") from None
+    if s < 0:
+        raise ValueError(f"server index {s} out of range")
+    return s
 
 
 def depth(s) -> int:
     """Depth of server s in heap layout; the root (s=0) has depth 0."""
-    s = _server_id(s)
-    if s < 0:
-        raise ValueError(f"server index {s} out of range")
-    return (s + 1).bit_length() - 1
+    return (_server_id(s) + 1).bit_length() - 1
 
 
 def _check_index(v, n, what="item") -> int:
@@ -40,7 +40,11 @@ def _check_index(v, n, what="item") -> int:
 
 
 def parent(s) -> int:
-    return (_server_id(s) - 1) // 2
+    """Parent of server s in heap layout; the root (s=0) has none."""
+    s = _server_id(s)
+    if s == 0:
+        raise ValueError("the root server 0 has no parent")
+    return (s - 1) // 2
 
 
 def tree_path(a, b) -> list[int]:
@@ -66,8 +70,6 @@ def tree_distance(a, b) -> int:
     of their XOR.
     """
     x, y = _server_id(a) + 1, _server_id(b) + 1
-    if x < 1 or y < 1:
-        raise ValueError(f"server index {min(x, y) - 1} out of range")
     lift = x.bit_length() - y.bit_length()
     if lift > 0:
         x >>= lift
@@ -126,13 +128,7 @@ class TreeState:
         return slice(lo, min(2 * lo + 1, self.n))
 
     def item_depth(self, v) -> int:
-        return depth(self.host[self._check_item(v)])
-
-    def _check_item(self, v):
-        return _check_index(v, self.n)
-
-    def _check_server(self, s):
-        return _check_index(s, self.n, "server")
+        return depth(self.host[_check_index(v, self.n)])
 
     def check_bijection(self):
         """Raise RuntimeError unless guest and host are inverse permutations."""
@@ -143,7 +139,7 @@ class TreeState:
 
 def routing_header(t: TreeState, v) -> str:
     """Child-choice bits from the root to the host of v ('0' left, '1' right)."""
-    s = int(t.host[t._check_item(v)])
+    s = int(t.host[_check_index(v, t.n)])
     # the binary expansion of s+1 below its leading bit is exactly the path
     return bin(s + 1)[3:]
 
@@ -155,7 +151,7 @@ def follow_header(t: TreeState, bits) -> int:
         if b not in ("0", "1"):
             raise ValueError(f"routing header bits must be '0' or '1', got {b!r}")
         s = 2 * s + 1 + (b == "1")
-    return t._check_server(s)
+    return _check_index(s, t.n, "server")
 
 
 def interchange(t: TreeState, u, v) -> int:
@@ -166,7 +162,7 @@ def interchange(t: TreeState, u, v) -> int:
     u/v exchange is materialized here; returns the 2d-1 swaps the walk
     costs, one below the 2d worst case.
     """
-    u, v = t._check_item(u), t._check_item(v)
+    u, v = _check_index(u, t.n), _check_index(v, t.n)
     if u == v:
         return 0
     a, b = int(t.host[u]), int(t.host[v])

@@ -29,14 +29,15 @@ class RankTable:
     Before any access, RankTable(n) ranks item i as i + 1, from_tree ranks
     the item at server i as i + 1, and given stamps, which must be
     distinct, keep their order.  So a fresh identity layout is an MRU tree
-    and every argmax over ranks is tie-free.
+    and every argmax over ranks is tie-free.  Stamps are given to the
+    constructor or by rebinding rt.stamps, and either way rebuild the table.
 
     The item of a given rank is a Fenwick descent to its slot plus a
     slot -> item map (int32, one entry per slot).  Only max-push reads it,
     so the map is allocated by _map_slots on first use; from then on each
     record stores one entry and each renumbering rewrites it.  Writing
-    stamps other than through record leaves it stale until the next
-    _map_slots.
+    into the stamps array in place bypasses the Fenwick tree and the map
+    and leaves the table inconsistent.
     """
 
     def __init__(self, n, stamps=None):
@@ -44,32 +45,38 @@ class RankTable:
         self._size = self.n + self.n // 4 + 1
         self._item = None  # the slot -> item map, allocated by _map_slots
         if stamps is None:
-            self.stamps = np.arange(self.n - 1, -1, -1, dtype=np.int64)
+            self._stamps = np.arange(self.n - 1, -1, -1, dtype=np.int64)
             self._reset_fenwick()
         else:
-            stamps = np.asarray(stamps, dtype=np.int64)
-            if stamps.shape != (self.n,):
-                raise ValueError(f"need one stamp per item, got shape {stamps.shape} for n={self.n}")
-            # the Fenwick tree and the MRU predicate both rely on distinct stamps
-            if len(np.unique(stamps)) != self.n:
-                raise ValueError("stamps must be distinct")
-            self.stamps = stamps.copy()
-            self._renumber()
+            self.stamps = stamps
+
+    @property
+    def stamps(self) -> np.ndarray:
+        """stamps[v], the slot of item v's last access; rebinding checks a copy and renumbers it."""
+        return self._stamps
+
+    @stamps.setter
+    def stamps(self, stamps):
+        stamps = np.array(stamps, dtype=np.int64)
+        if stamps.shape != (self.n,):
+            raise ValueError(f"need one stamp per item, got shape {stamps.shape} for n={self.n}")
+        # the Fenwick tree and the MRU predicate both rely on distinct stamps
+        if len(np.unique(stamps)) != self.n:
+            raise ValueError("stamps must be distinct")
+        self._stamps = stamps
+        self._renumber()
 
     @classmethod
     def from_tree(cls, t: TreeState):
         """Stamps matching the current placement: the item at server i has rank i+1."""
         rt = cls(t.n)
-        np.subtract(t.n - 1, t.host, out=rt.stamps)
+        np.subtract(t.n - 1, t.host, out=rt._stamps)
         return rt
-
-    def _check_item(self, v):
-        return _check_index(v, self.n)
 
     def _renumber(self):
         """Restamp the items 0..n-1 from least to most recent."""
-        order = np.argsort(self.stamps)
-        self.stamps[order] = np.arange(self.n)
+        order = np.argsort(self._stamps)
+        self._stamps[order] = np.arange(self.n)
         if self._item is not None:
             np.frombuffer(self._item, dtype=np.int32)[:self.n] = order
         self._reset_fenwick()
@@ -78,7 +85,7 @@ class RankTable:
         """Allocate the slot -> item map if there is none, and fill it from the stamps."""
         if self._item is None:
             self._item = memoryview(bytearray(4 * self._size)).cast("i")
-        np.frombuffer(self._item, dtype=np.int32)[self.stamps] = np.arange(self.n, dtype=np.int32)
+        np.frombuffer(self._item, dtype=np.int32)[self._stamps] = np.arange(self.n, dtype=np.int32)
 
     def _reset_fenwick(self):
         """Fenwick tree (int32 counts, indexed from 1) with slots 0..n-1 live; the clock at n."""
@@ -91,7 +98,7 @@ class RankTable:
         v must be an item id already checked: the module-level rank() and
         record() check it, and Policy.serve checks its request once.
         """
-        fen, i, older = self._fen, int(self.stamps[v]) + 1, 0
+        fen, i, older = self._fen, int(self._stamps[v]) + 1, 0
         while i:
             older += fen[i]
             i &= i - 1
@@ -116,7 +123,7 @@ class RankTable:
     def _touch(self, v):
         """Move item v to the clock slot, the most recent one."""
         fen, size = self._fen, self._size
-        i = int(self.stamps[v]) + 1
+        i = int(self._stamps[v]) + 1
         while i <= size:
             fen[i] -= 1
             i += i & -i
@@ -124,7 +131,7 @@ class RankTable:
         while i <= size:
             fen[i] += 1
             i += i & -i
-        self.stamps[v] = self.clock
+        self._stamps[v] = self.clock
         if self._item is not None:
             self._item[self.clock] = v
         self.clock += 1
@@ -148,7 +155,7 @@ def _fresh_fenwick(n, size) -> bytes:
 
 def rank(rt: RankTable, v) -> int:
     """1 + number of items accessed strictly more recently than v."""
-    return rt.rank(rt._check_item(v))
+    return rt.rank(_check_index(v, rt.n))
 
 
 def rank_order(rt: RankTable) -> np.ndarray:
@@ -165,7 +172,7 @@ def ranks(rt: RankTable) -> np.ndarray:
 
 def record(rt: RankTable, v) -> int:
     """Stamp v as the most recent item; returns its rank before the update."""
-    v = rt._check_item(v)
+    v = _check_index(v, rt.n)
     r = rt.rank(v)
     rt._touch(v)
     return r

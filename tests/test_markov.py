@@ -63,6 +63,27 @@ def test_binomial_identity_small_cases():
         binomial_identity(0)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3", None])
+def test_binomial_identity_takes_integers_only(bad):
+    with pytest.raises(ValueError, match="integer"):
+        binomial_identity(bad)
+
+
+@pytest.mark.parametrize("fn, i, w", [
+    (expected_state_curve, 0, 5),
+    (expected_state_curve, 3, -1),
+    (expected_state_curve, 4, 2.0),
+    (concavity_check, 0, 5),
+    (walk_distribution, 2.7, 3),
+    (walk_distribution, 3, 3.9),
+    (walk_distribution, 0, 3),
+    (walk_distribution, 3, -1),
+])
+def test_walk_refuses_bad_sizes_and_step_counts(fn, i, w):
+    with pytest.raises(ValueError):
+        fn(i, w)
+
+
 def test_concavity_small_and_medium():
     assert concavity_check(2, 16)
     assert concavity_check(16, 256)

@@ -39,6 +39,10 @@ def test_swap_distance_matches_bfs_oracle_n3():
     for a in itertools.permutations(range(3)):
         for b in itertools.permutations(range(3)):
             assert swap_distance(a, b) == oracle_swap_distance(3, a, b)
+    rng = np.random.default_rng(6)
+    for _ in range(12):
+        a, b = tuple(rng.permutation(7).tolist()), tuple(rng.permutation(7).tolist())
+        assert swap_distance(a, b) == oracle_swap_distance(7, a, b)
 
 
 def test_swap_distance_validation():

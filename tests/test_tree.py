@@ -116,6 +116,13 @@ def test_tree_distance_rejects_negative_servers():
         tree_distance(3, -2)
 
 
+def test_parent_refuses_negative_servers_and_the_root():
+    for bad in (-5, -1, 0):
+        with pytest.raises(ValueError):
+            parent(bad)
+    assert [parent(s) for s in range(1, 7)] == [0, 0, 1, 1, 2, 2]
+
+
 FRACTIONAL = (1.9, 2.5, 2.0, np.float64(3.0), "3", None)
 
 

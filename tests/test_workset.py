@@ -139,6 +139,31 @@ def test_stamps_must_be_distinct():
     assert ranks(rt).tolist() == [1, 3, 2]
 
 
+@pytest.mark.parametrize("rebind", [lambda s: s + 1, lambda s: s * 3, lambda s: -s],
+                         ids=["shifted", "scaled", "reversed"])
+def test_rebinding_stamps_rebuilds_the_table(rebind):
+    rt = RankTable(7)
+    for v in (3, 5, 3, 0):
+        record(rt, v)
+    rt.stamps = rebind(rt.stamps)
+    assert [rank(rt, v) for v in range(7)] == ranks(rt).tolist()
+    for v in (6, 2, 6):
+        record(rt, v)
+    assert [rank(rt, v) for v in range(7)] == ranks(rt).tolist()
+    rt._map_slots()
+    assert [rt._item_of_rank(r) for r in range(1, 8)] == rank_order(rt).tolist()
+
+
+def test_rebinding_bad_stamps_leaves_the_table_unchanged():
+    rt = RankTable(7)
+    record(rt, 4)
+    before = (rt.stamps.tolist(), rt.clock, [rank(rt, v) for v in range(7)])
+    for bad, message in (([0, 1, 2, 3, 4, 5, 5], "distinct"), ([0, 1, 2], "one stamp per item")):
+        with pytest.raises(ValueError, match=message):
+            rt.stamps = bad
+        assert (rt.stamps.tolist(), rt.clock, [rank(rt, v) for v in range(7)]) == before
+
+
 def test_order_sensitivity_of_ws_total():
     def total(seq):
         p = Policy("fixed", 7)

@@ -29,7 +29,6 @@ from .policies import (
     Policy,
     build_static_mfu,
     expected_path_length,
-    sample_push_path,
 )
 from .tree import (
     CostLedger,

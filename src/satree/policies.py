@@ -14,14 +14,8 @@ from .workset import RankTable, WsAccumulator, is_mru, max_rank_item_at_depth
 POLICY_KINDS = ("move-half", "random-push", "max-push", "static-mfu", "fixed")
 # the paper's per-request cost bounds, as multiples of the request's access cost
 _COST_FACTOR = {"move-half": 4, "random-push": 5}
-
-
-def sample_push_path(rng, k) -> list[int]:
-    """Root-to-depth-k server path with uniformly random child choices."""
-    path = [0]
-    for bit in rng.integers(0, 2, size=k):
-        path.append(2 * path[-1] + 1 + int(bit))
-    return path
+# random-push draws its push words from its bit generator this many at a time
+_WORD_BLOCK = 4096
 
 
 def _check_freq(freq, n):
@@ -83,13 +77,21 @@ def _push_down(t, u, chain):
 def _random_push(p, u, k, r):
     """Promote u to the root and push one random root-to-depth-k path down one level.
 
+    The path's child choices are the top k bits of the next raw 64-bit word
+    of p's push bit generator, most significant first (1 = right child).
     The item displaced off the end of the path fills u's vacated server.
     """
     if k == 0:
         return 0, None
     t = p.tree
     s = int(t.host[u])
-    path = sample_push_path(p.rng, k)
+    words = p._push_words
+    if not words:
+        # reversed, so that pop() hands the block out in draw order
+        words += p._push_bits.random_raw(_WORD_BLOCK)[::-1].tolist()
+    x = words.pop() >> (64 - k)
+    # level j starts at server 2^j - 1, and x's top j bits pick the path's server in it
+    path = [(1 << j) - 1 + (x >> (k - j)) for j in range(k + 1)]
     if path[k] == s:
         # u's move empties the path's last server, so the push stops one level above it
         _push_down(t, u, path[:k])
@@ -160,7 +162,14 @@ class Policy:
         self.ranks = RankTable.from_tree(self.tree)
         self.ledger = CostLedger()
         self.ws = WsAccumulator()
-        self.rng = np.random.default_rng(seed) if kind == "random-push" else None
+        self.rng = None
+        if kind == "random-push":
+            # the push words come from a child of the seed, so they are independent of
+            # default_rng(seed), which is both self.rng and generate's workload stream
+            seq = np.random.SeedSequence(seed)
+            self.rng = np.random.default_rng(seq)
+            self._push_bits = np.random.PCG64(seq.spawn(1)[0])
+            self._push_words = []
         # max-push: the (tree, ranks, guest, host, stamps) its last full MRU check passed on
         self._mru_bound = None
 

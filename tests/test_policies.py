@@ -23,7 +23,6 @@ from satree import (
     rank,
     record,
     routing_header,
-    sample_push_path,
     tree_distance,
 )
 from satree.policies import POLICY_KINDS, _push_down
@@ -31,22 +30,34 @@ from satree.tree import depth
 from satree.workset import _level_minima, rank_order
 
 
-class ScriptedRng:
-    """Feeds predetermined child bits into the push-path sampler."""
-
-    def __init__(self, bits):
-        self.bits = list(bits)
-
-    def integers(self, low, high, size=None):
-        assert (low, high) == (0, 2)
-        out = np.array([self.bits.pop(0) for _ in range(size)], dtype=np.int64)
-        return out
+def word_of(bits):
+    """A 64-bit push word whose top bits are the given child bits, first bit highest."""
+    return sum(int(b) << (63 - i) for i, b in enumerate(bits))
 
 
-def scripted(bits, n=7):
-    """A random-push policy whose push paths follow the given child bits."""
+def bit_path(word, k):
+    """Reference push path built one child at a time from the word's top k bits (1 = right)."""
+    path = [0]
+    for i in range(k):
+        path.append(2 * path[-1] + 1 + ((word >> (63 - i)) & 1))
+    return path
+
+
+class ScriptedBits:
+    """Stands in for random-push's push bit generator: hands out the scripted words in order."""
+
+    def __init__(self, words=()):
+        self.words = list(words)
+
+    def random_raw(self, size):
+        out, self.words = self.words[:size], self.words[size:]
+        return np.array(out, dtype=np.uint64)
+
+
+def scripted(paths, n=7):
+    """A random-push policy whose push paths follow the given child bits, one list per push."""
     p = Policy("random-push", n)
-    p.rng = ScriptedRng(bits)
+    p._push_bits = ScriptedBits(word_of(bits) for bits in paths)
     return p
 
 
@@ -91,7 +102,7 @@ def test_random_push_root_request_is_free():
 
 def test_random_push_path_hits_accessed_server():
     # u = item 2 at depth 1; the scripted path lands on u's own server
-    p = scripted([1])
+    p = scripted([[1]])
     a, j, _, path = p.serve(2)
     assert path == [0, 2]
     assert (a, j) == (1, 2)
@@ -100,7 +111,7 @@ def test_random_push_path_hits_accessed_server():
 
 def test_random_push_path_lands_on_sibling():
     # u = item 2 at depth 1; the path ends at server 1, so three items rotate
-    p = scripted([0])
+    p = scripted([[0]])
     a, j, _, path = p.serve(2)
     assert path == [0, 1]
     assert (a, j) == (1, 4)  # 1 up + 1 cascade + 2 for the end-of-path trip
@@ -110,8 +121,7 @@ def test_random_push_path_lands_on_sibling():
 
 def test_random_push_depths_never_decrease_except_requested():
     rng = np.random.default_rng(9)
-    p = Policy("random-push", 31)
-    p.rng = rng
+    p = Policy("random-push", 31, seed=9)
     t = p.tree
     per_request = []
     for v in rng.integers(0, 31, size=2000):
@@ -134,15 +144,16 @@ def test_random_push_is_deterministic_given_seed():
     assert final_state(123) != final_state(124)
 
 
-def store_loop_random_push_serve(p, u):
-    """Random-push's serve with its own push loop: one guest/host store per level, u to the
-    root, and the end-of-path item's trip to u's old server charged by tree distance."""
+def store_loop_random_push_serve(p, u, word):
+    """Random-push's serve with its own push loop and the per-bit path of the given word: one
+    guest/host store per level, u to the root, and the end-of-path item's trip to u's old
+    server charged by tree distance."""
     t = p.tree
     k = t.item_depth(u)
     adjust, path = 0, None
     if k > 0:
         s = int(t.host[u])
-        path = sample_push_path(p.rng, k)
+        path = bit_path(word, k)
         old = [int(t.guest[q]) for q in path]
         t.guest[0] = u
         t.host[u] = 0
@@ -167,26 +178,51 @@ def store_loop_random_push_serve(p, u):
 @given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
        requests=st.lists(st.tuples(st.integers(0, 254), st.booleans()), max_size=150))
 def test_random_push_matches_store_loop(d, seed, requests):
-    # aim=True scripts the push path down to u's own server; otherwise the bits are random,
-    # and the path ends on u's server only by chance
+    # aim=True scripts the push path down to u's own server; otherwise the word's top bits are
+    # random, and the path ends on u's server only by chance; the bits below the path are random
     n = (1 << d) - 1
-    fast, slow = scripted([], n), scripted([], n)
+    fast, slow = scripted([], n), Policy("random-push", n)
     rng = np.random.default_rng(seed)
     for u, aim in requests:
         u %= n
+        k = fast.tree.item_depth(u)
+        word = int(rng.integers(0, 1 << 64, dtype=np.uint64))
         if aim:
-            bits = [int(b) for b in routing_header(fast.tree, u)]
-        else:
-            bits = rng.integers(0, 2, size=fast.tree.item_depth(u)).tolist()
-        fast.rng.bits += bits
-        slow.rng.bits += bits
-        assert fast.serve(u) == store_loop_random_push_serve(slow, u)
+            word = word_of(routing_header(fast.tree, u)) | (word >> k)
+        if k:
+            fast._push_bits.words.append(word)
+        assert fast.serve(u) == store_loop_random_push_serve(slow, u, word)
         fast.tree.check_bijection()
     assert fast.tree.guest.tolist() == slow.tree.guest.tolist()
     assert fast.tree.host.tolist() == slow.tree.host.tolist()
     assert (fast.ledger.access_total, fast.ledger.adjust_total) == \
         (slow.ledger.access_total, slow.ledger.adjust_total)
     assert fast.ws.total == slow.ws.total
+
+
+def test_block_drawn_paths_equal_per_request_words():
+    # more than two 4096-word blocks of deep requests, checked against the per-bit reference
+    # path of each word drawn one at a time from the same child of the seed
+    n, seed = 255, 5
+    p = Policy("random-push", n, seed=seed)
+    words = np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0])
+    deep = 0
+    for v in np.random.default_rng(8).integers(0, n, size=10_000):
+        k, _, _, path = p.serve(int(v))
+        if k:
+            assert path == bit_path(int(words.random_raw()), k)
+            deep += 1
+    assert deep > 2 * 4096
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+def test_push_words_are_independent_of_the_workload_stream(seed):
+    p = Policy("random-push", 255, seed=seed)
+    push = p._push_bits.random_raw(64).tolist()
+    workload = np.random.default_rng(seed).bit_generator.random_raw(64).tolist()
+    assert not set(push) & set(workload)
+    # p.rng stays default_rng(seed), the stream c10's adversary draws from
+    assert p.rng.random() == np.random.default_rng(seed).random()
 
 
 def test_max_push_root_request_only_updates_rank():

@@ -117,7 +117,7 @@ def random_push_rank_stats(n, m, seeds, warmup=0):
         base = [0] * n
         acc = [0] * n
         seen = bytearray(n)
-        guest = policy.tree.guest
+        guest = policy.tree._gv
         for step, u in enumerate(items):
             k, _, r, path = policy.serve(u)
             if step >= warmup:
@@ -133,7 +133,7 @@ def random_push_rank_stats(n, m, seeds, warmup=0):
             base[u] = suf[0]
             if path is not None:
                 for j in range(len(path) - 1):
-                    v = int(guest[path[j + 1]])  # pushed from depth j to j+1
+                    v = guest[path[j + 1]]  # pushed from depth j to j+1
                     acc[v] += suf[j] - base[v]
                     base[v] = suf[j + 1]
     return {"depth_sum": depth_sum, "depth_cnt": depth_cnt, "w_sum": w_sum, "w_cnt": w_cnt}

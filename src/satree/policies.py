@@ -65,9 +65,9 @@ def _push_down(t, u, chain):
     chain lists one server per level, from the root down, and never holds
     u's server; the item at its last server fills the server u leaves.
     """
-    guest, host = t.guest, t.host
-    items = guest[chain].tolist()
-    for v, q in zip(items, chain[1:] + [int(host[u])]):
+    guest, host = t._gv, t._hv
+    items = [guest[q] for q in chain]
+    for v, q in zip(items, chain[1:] + [host[u]]):
         guest[q] = v
         host[v] = q
     guest[0] = u
@@ -84,7 +84,7 @@ def _random_push(p, u, k, r):
     if k == 0:
         return 0, None
     t = p.tree
-    s = int(t.host[u])
+    s = t._hv[u]
     words = p._push_words
     if not words:
         # reversed, so that pop() hands the block out in draw order
@@ -124,13 +124,14 @@ def _max_push(p, u, k, r):
             raise ValueError("max-push requires an MRU tree")
         rt._map_slots()
         p._mru_bound = bound
-    chain = t.host[[rt._item_of_rank((2 << j) - 1) for j in range(k)]].tolist() if k else []
+    host = t._hv
+    chain = [host[rt._item_of_rank((2 << j) - 1)] for j in range(k)]
     # depth j holds the servers s with j + 1 bits in s + 1, and in an MRU tree the ranks with j + 1 bits
     if [(q + 1).bit_length() for q in chain] + [r.bit_length()] != list(range(1, k + 2)):
         raise ValueError("max-push requires an MRU tree")
     if k == 0:
         return 0, None
-    s = int(t.host[u])
+    s = host[u]
     _push_down(t, u, chain)
     # u's k hops to the root, then each demoted item's hop to the next level's server or to s
     return k + sum(map(tree_distance, chain, chain[1:] + [s])), None
@@ -189,7 +190,7 @@ class Policy:
         tree moved but nothing charged.
         """
         u = _check_index(u, self.tree.n)
-        k = depth(self.tree.host[u])
+        k = depth(self.tree._hv[u])
         r = self.ranks.rank(u)  # ranks do not depend on the tree, so the adjustment leaves r as is
         adjust, path = _ADJUST[self.kind](self, u, k, r)
         factor = _COST_FACTOR.get(self.kind)

@@ -78,6 +78,25 @@ def tree_distance(a, b) -> int:
     return abs(lift) + 2 * (x ^ y).bit_length()
 
 
+def _permutation(a, n, what) -> np.ndarray:
+    """a as a C-contiguous writable int64 array, if it is an integer permutation of 0..n-1.
+
+    An array that already is one is returned as is, anything else is copied; ValueError
+    when a is not such a permutation.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind in "iu" and a.shape == (n,) and a.min() >= 0 and a.max() < n:
+        a = np.require(a, np.int64, "CAW")
+        if np.bincount(a, minlength=n).min() == 1:
+            return a
+    raise ValueError(f"{what} must be an integer permutation of 0..n-1")
+
+
+def _int64_view(a: np.ndarray) -> memoryview:
+    """An int64 memoryview over the buffer of a C-contiguous int64 array; its elements are ints."""
+    return memoryview(a).cast("B").cast("q")
+
+
 class CostLedger:
     """Running access/adjustment swap totals, charged by Policy.serve alone."""
 
@@ -97,6 +116,15 @@ class TreeState:
 
     guest[s] is the item hosted at server s; host[v] is the server hosting
     item v.  Server indices use heap layout (children of s are 2s+1, 2s+2).
+    Both are C-contiguous int64 numpy arrays for vector work, and each has
+    an int64 memoryview over the same buffer, _gv and _hv, through which
+    the per-request scalar reads and stores go: a memoryview element costs
+    less than a numpy one.  In-place numpy writes are seen through the
+    views.  Rebinding t.guest or t.host checks that the new array is an
+    integer permutation of 0..n-1 (ValueError otherwise, with the old array
+    and view kept), copies it to C-contiguous int64 if it is not already,
+    and rebuilds the view; keeping the two inverse to each other is the
+    caller's part.
     """
 
     def __init__(self, n, guests=None):
@@ -104,15 +132,14 @@ class TreeState:
             raise ValueError(f"item count must be 2^d - 1 for d >= 1, got {n}")
         self.n = int(n)
         if guests is None:
-            self.guest = np.arange(self.n, dtype=np.int64)
+            guest = np.arange(self.n, dtype=np.int64)
         else:
-            guests = np.asarray(guests)
-            if (guests.dtype.kind not in "iu" or guests.shape != (self.n,)
-                    or not np.array_equal(np.sort(guests), np.arange(self.n))):
-                raise ValueError("guests must be an integer permutation of 0..n-1")
-            self.guest = guests.astype(np.int64)
-        self.host = np.empty(self.n, dtype=np.int64)
-        self.host[self.guest] = np.arange(self.n, dtype=np.int64)
+            # a copy, so that the tree never shares the caller's array
+            guest = _permutation(guests, self.n, "guests").copy()
+        host = np.empty(self.n, dtype=np.int64)
+        host[guest] = np.arange(self.n, dtype=np.int64)
+        self._guest, self._gv = guest, _int64_view(guest)
+        self._host, self._hv = host, _int64_view(host)
         self.num_levels = self.n.bit_length()
         # per-server depths floor(log2(s+1)), fixed for the lifetime of the tree; level i
         # holds 2^i servers, so the same array is floor(log2(r)) for ranks r = 1..n; int8,
@@ -122,13 +149,33 @@ class TreeState:
         # first server of each level, the segment starts for per-level reductions
         self.level_starts = (1 << levels) - 1
 
+    @property
+    def guest(self) -> np.ndarray:
+        """guest[s], the item at server s; rebinding checks the array and rebuilds _gv."""
+        return self._guest
+
+    @guest.setter
+    def guest(self, a):
+        a = _permutation(a, self.n, "guest")
+        self._guest, self._gv = a, _int64_view(a)
+
+    @property
+    def host(self) -> np.ndarray:
+        """host[v], the server of item v; rebinding checks the array and rebuilds _hv."""
+        return self._host
+
+    @host.setter
+    def host(self, a):
+        a = _permutation(a, self.n, "host")
+        self._host, self._hv = a, _int64_view(a)
+
     def level_slice(self, lvl) -> slice:
         """Index range of the servers at a given depth."""
         lo = (1 << lvl) - 1
         return slice(lo, min(2 * lo + 1, self.n))
 
     def item_depth(self, v) -> int:
-        return depth(self.host[_check_index(v, self.n)])
+        return depth(self._hv[_check_index(v, self.n)])
 
     def check_bijection(self):
         """Raise RuntimeError unless guest and host are inverse permutations."""
@@ -139,7 +186,7 @@ class TreeState:
 
 def routing_header(t: TreeState, v) -> str:
     """Child-choice bits from the root to the host of v ('0' left, '1' right)."""
-    s = int(t.host[_check_index(v, t.n)])
+    s = t._hv[_check_index(v, t.n)]
     # the binary expansion of s+1 below its leading bit is exactly the path
     return bin(s + 1)[3:]
 
@@ -165,9 +212,10 @@ def interchange(t: TreeState, u, v) -> int:
     u, v = _check_index(u, t.n), _check_index(v, t.n)
     if u == v:
         return 0
-    a, b = int(t.host[u]), int(t.host[v])
+    guest, host = t._gv, t._hv
+    a, b = host[u], host[v]
     d = tree_distance(a, b)
-    t.guest[a], t.guest[b] = v, u
-    t.host[u], t.host[v] = b, a
+    guest[a], guest[b] = v, u
+    host[u], host[v] = b, a
     return 2 * d - 1
 

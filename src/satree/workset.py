@@ -6,7 +6,7 @@ import functools
 
 import numpy as np
 
-from .tree import TreeState, _check_index
+from .tree import TreeState, _check_index, _int64_view
 
 
 class WsAccumulator:
@@ -31,6 +31,9 @@ class RankTable:
     distinct, keep their order.  So a fresh identity layout is an MRU tree
     and every argmax over ranks is tie-free.  Stamps are given to the
     constructor or by rebinding rt.stamps, and either way rebuild the table.
+    The stamps stay an int64 numpy array for vector work; rank and record
+    read and store them through _sv, an int64 memoryview over the same
+    buffer, which every binding of the array rebuilds.
 
     The item of a given rank is a Fenwick descent to its slot plus a
     slot -> item map (int32, one entry per slot).  Only max-push reads it,
@@ -45,7 +48,7 @@ class RankTable:
         self._size = self.n + self.n // 4 + 1
         self._item = None  # the slot -> item map, allocated by _map_slots
         if stamps is None:
-            self._stamps = np.arange(self.n - 1, -1, -1, dtype=np.int64)
+            self._bind(np.arange(self.n - 1, -1, -1, dtype=np.int64))
             self._reset_fenwick()
         else:
             self.stamps = stamps
@@ -63,8 +66,12 @@ class RankTable:
         # the Fenwick tree and the MRU predicate both rely on distinct stamps
         if len(np.unique(stamps)) != self.n:
             raise ValueError("stamps must be distinct")
-        self._stamps = stamps
+        self._bind(stamps)
         self._renumber()
+
+    def _bind(self, stamps):
+        """Hold a C-contiguous int64 stamps array and an int64 memoryview over its buffer."""
+        self._stamps, self._sv = stamps, _int64_view(stamps)
 
     @classmethod
     def from_tree(cls, t: TreeState):
@@ -98,7 +105,7 @@ class RankTable:
         v must be an item id already checked: the module-level rank() and
         record() check it, and Policy.serve checks its request once.
         """
-        fen, i, older = self._fen, int(self._stamps[v]) + 1, 0
+        fen, i, older = self._fen, self._sv[v] + 1, 0
         while i:
             older += fen[i]
             i &= i - 1
@@ -122,8 +129,8 @@ class RankTable:
 
     def _touch(self, v):
         """Move item v to the clock slot, the most recent one."""
-        fen, size = self._fen, self._size
-        i = int(self._stamps[v]) + 1
+        fen, size, stamps = self._fen, self._size, self._sv
+        i = stamps[v] + 1
         while i <= size:
             fen[i] -= 1
             i += i & -i
@@ -131,7 +138,7 @@ class RankTable:
         while i <= size:
             fen[i] += 1
             i += i & -i
-        self._stamps[v] = self.clock
+        stamps[v] = self.clock
         if self._item is not None:
             self._item[self.clock] = v
         self.clock += 1

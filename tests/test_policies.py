@@ -367,7 +367,7 @@ def test_max_push_matches_level_minima_rule(d, seed, data):
 
 
 def non_mru_rebinding(p, what):
-    """Rebind one of max-push's tree, rank table or stamps to a state that is not MRU."""
+    """Rebind max-push's tree, rank table, guest and host arrays or stamps to a state that is not MRU."""
     t, rt = p.tree, p.ranks
     root, leaf = int(t.guest[0]), int(t.guest[-1])
     if what == "tree":
@@ -376,13 +376,17 @@ def non_mru_rebinding(p, what):
         p.tree = TreeState(t.n, guests=guests)
     elif what == "ranks":
         p.ranks = RankTable(t.n, stamps=np.arange(t.n))  # item 0 the least recent, at the root
+    elif what == "guest-host":
+        guests = t.guest.copy()
+        guests[0], guests[-1] = leaf, root
+        t.guest, t.host = guests, np.argsort(guests)
     else:
         stamps = rt.stamps.copy()
         stamps[root], stamps[leaf] = stamps[leaf], stamps[root]
         rt.stamps = stamps
 
 
-@pytest.mark.parametrize("what", ["tree", "ranks", "stamps"])
+@pytest.mark.parametrize("what", ["tree", "ranks", "guest-host", "stamps"])
 def test_max_push_rejects_a_non_mru_rebinding_every_time(what):
     p = Policy("max-push", 15)
     for v in (9, 3, 14, 0, 9):
@@ -393,6 +397,26 @@ def test_max_push_rejects_a_non_mru_rebinding_every_time(what):
         with pytest.raises(ValueError, match="MRU"):
             p.serve(v)
         assert snapshot(p) == before
+
+
+@pytest.mark.parametrize("kind", ["move-half", "random-push", "max-push"])
+def test_in_place_edit_of_guest_and_host_is_seen_by_the_next_serve(kind):
+    # numpy writes swap leaves 7 and 14, which keeps the identity layout MRU; the request
+    # for item 14 must start from server 7, and item 14's vacated server 7 must be refilled
+    p = Policy(kind, 15, seed=3)
+    t = p.tree
+    t.guest[[7, 14]] = [14, 7]
+    t.host[[7, 14]] = [14, 7]
+    k, adjust, r, path = p.serve(14)
+    assert (k, r) == (3, 15)
+    if kind == "move-half":  # partner item 2, the least recent at depth 1
+        assert adjust == 2 * tree_distance(7, 2) - 1 and (int(t.guest[7]), int(t.host[14])) == (2, 2)
+    elif kind == "max-push":  # items 0, 2, 6 pushed down from servers 0, 2, 6 to 2, 6, 7
+        assert adjust == 3 + 1 + 1 + tree_distance(6, 7) and int(t.guest[7]) == 6
+    else:
+        assert adjust == 6 + (0 if path[3] == 7 else tree_distance(path[3], 7))
+        assert int(t.host[14]) == 0 and int(t.guest[7]) != 14
+    t.check_bijection()
 
 
 def test_max_push_rejects_a_moved_least_recent_item_before_moving():

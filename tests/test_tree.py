@@ -193,6 +193,58 @@ def test_check_bijection_raises_on_broken_state():
         t.check_bijection()
 
 
+def test_rebinding_guest_and_host_rebuilds_their_views():
+    t = TreeState(15)
+    guests = np.random.default_rng(5).permutation(15).astype(np.int64)
+    hosts = np.argsort(guests)
+    t.guest, t.host = guests, hosts
+    assert t.guest is guests and t.host is hosts  # C-contiguous int64 arrays are kept as given
+    assert list(t._gv) == guests.tolist() and list(t._hv) == hosts.tolist()
+    t.check_bijection()
+    for v in range(15):
+        assert t.item_depth(v) == depth(int(hosts[v]))
+        assert follow_header(t, routing_header(t, v)) == int(hosts[v])
+    a, b = int(hosts[0]), int(hosts[1])
+    assert interchange(t, 0, 1) == 2 * tree_distance(a, b) - 1
+    # interchange stores through the views, into the rebound arrays
+    assert (int(guests[a]), int(guests[b]), int(hosts[0]), int(hosts[1])) == (1, 0, b, a)
+
+
+def test_views_see_in_place_numpy_writes():
+    t = TreeState(7)
+    t.guest[[0, 6]] = [6, 0]
+    t.host[[0, 6]] = [6, 0]
+    assert (t._gv[0], t._gv[6], t._hv[0], t._hv[6]) == (6, 0, 6, 0)
+    assert t.item_depth(0) == 2 and routing_header(t, 6) == ""
+
+
+@pytest.mark.parametrize("what", ["guest", "host"])
+def test_rebinding_copies_other_integer_arrays_to_contiguous_int64(what):
+    t = TreeState(15)
+    strided = np.repeat(np.arange(15), 2)[::2]
+    read_only = np.arange(15)
+    read_only.flags.writeable = False
+    for a in (np.arange(15, dtype=np.int32), np.arange(15, dtype=np.uint8), strided, read_only):
+        setattr(t, what, a)
+        got = getattr(t, what)
+        assert got is not a and got.dtype == np.int64 and got.flags.c_contiguous and got.flags.writeable
+        assert got.tolist() == a.tolist()
+        assert list(getattr(t, f"_{what[0]}v")) == a.tolist()
+
+
+@pytest.mark.parametrize("what", ["guest", "host"])
+def test_refused_rebinding_keeps_the_old_array_and_view(what):
+    t = TreeState(7)
+    old, old_view = getattr(t, what), getattr(t, f"_{what[0]}v")
+    for bad in (np.arange(7.0), np.arange(7) == 0, np.arange(6), np.arange(14).reshape(2, 7),
+                [0, 0, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5, 7], [-1, 1, 2, 3, 4, 5, 6],
+                np.array([2**63, 1, 2, 3, 4, 5, 6], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="integer permutation"):
+            setattr(t, what, bad)
+        assert getattr(t, what) is old and getattr(t, f"_{what[0]}v") is old_view
+    assert old.tolist() == list(old_view) == list(range(7))
+
+
 def test_interchange_common_branch():
     # u at depth 3 (server 7), v its grandparent's guest at depth 1 (server 1): d = 2
     t = TreeState(15)

@@ -7,8 +7,7 @@ import operator
 
 import numpy as np
 
-from .tree import (CostLedger, TreeState, _check_index, depth, interchange, is_complete_size,
-                   tree_distance)
+from .tree import CostLedger, TreeState, _check_index, interchange, is_complete_size, tree_distance
 from .workset import RankTable, WsAccumulator, is_mru, max_rank_item_at_depth
 
 POLICY_KINDS = ("move-half", "random-push", "max-push", "static-mfu", "fixed")
@@ -105,14 +104,16 @@ def _max_push(p, u, k, r):
     """Demote each level's max-rank item one level, restoring the exact MRU layout.
 
     In an MRU tree level j holds ranks 2^j .. 2^(j+1)-1, so the item
-    demoted from level j is the one of rank 2^(j+1)-1, which a Fenwick
-    descent finds: a request costs O(k log n).  The full O(n) MRU check
-    runs once per binding, on the first request and on the next one after
-    p.tree, p.ranks, the tree's guest or host or the table's stamps are
-    rebound.  Every request checks that u and the items it demotes sit at
-    their MRU depths, which also makes the chain one server per level and
-    keeps u's server out of it.  An in-place change made outside serve that
-    leaves other parts of the tree out of MRU order is not caught here;
+    demoted from level j is the one of rank 2^(j+1)-1, which the rank
+    table keeps for every level (RankTable._bnd): a request costs O(log n)
+    rank upkeep plus O(k), and the table's boundary steps skip amortised
+    O(1) dead slots per level.  The full O(n) MRU check runs once per
+    binding, on the first request and on the next one after p.tree,
+    p.ranks, the tree's guest or host or the table's stamps are rebound.
+    Every request checks that u and the items it demotes sit at their MRU
+    depths, which also makes the chain one server per level and keeps u's
+    server out of it.  An in-place change made outside serve that leaves
+    other parts of the tree out of MRU order is not caught here;
     bench.run(check_mru=True) checks the whole tree after every request.
     Each relocation may cross the whole tree, so the cost grows like k^2/2.
     Raises ValueError, before anything moves, when a check fails.
@@ -124,17 +125,27 @@ def _max_push(p, u, k, r):
             raise ValueError("max-push requires an MRU tree")
         rt._map_slots()
         p._mru_bound = bound
-    host = t._hv
-    chain = [host[rt._item_of_rank((2 << j) - 1)] for j in range(k)]
     # depth j holds the servers s with j + 1 bits in s + 1, and in an MRU tree the ranks with j + 1 bits
-    if [(q + 1).bit_length() for q in chain] + [r.bit_length()] != list(range(1, k + 2)):
+    if r.bit_length() != k + 1:
         raise ValueError("max-push requires an MRU tree")
     if k == 0:
         return 0, None
-    s = host[u]
+    host = t._hv
+    chain = [host[v] for v in rt._bnd[:k]]
+    # u's k hops to the root, then each demoted item's hop to the server one level deeper (the
+    # next chain server, or u's), from the deepest level up.  With a and b those servers plus
+    # one, as in tree_distance, the hop is one to lift b to a's depth and twice the bit length
+    # of their xor to the common ancestor; a must have one bit more than its level's depth.
+    adjust, b, bits = k + k, host[u] + 1, k
+    for a in reversed(chain):
+        a += 1
+        if a.bit_length() != bits:
+            raise ValueError("max-push requires an MRU tree")
+        adjust += 2 * (a ^ (b >> 1)).bit_length()
+        b = a
+        bits -= 1
     _push_down(t, u, chain)
-    # u's k hops to the root, then each demoted item's hop to the next level's server or to s
-    return k + sum(map(tree_distance, chain, chain[1:] + [s])), None
+    return adjust, None
 
 
 def _stay(p, u, k, r):
@@ -190,14 +201,14 @@ class Policy:
         tree moved but nothing charged.
         """
         u = _check_index(u, self.tree.n)
-        k = depth(self.tree._hv[u])
+        k = (self.tree._hv[u] + 1).bit_length() - 1  # u's depth; the tree's own server id needs no check
         r = self.ranks.rank(u)  # ranks do not depend on the tree, so the adjustment leaves r as is
         adjust, path = _ADJUST[self.kind](self, u, k, r)
         factor = _COST_FACTOR.get(self.kind)
         if factor is not None and k + adjust > factor * k:
             raise RuntimeError(f"{self.kind} request for item {u} cost {k + adjust}, "
                                f"above {factor}x its access {k}")
-        self.ranks._touch(u)
+        self.ranks._touch(u, r)
         self.ledger.access_total += k
         self.ledger.adjust_total += adjust
         self.ws.total += math.log2(r)

@@ -38,15 +38,23 @@ class RankTable:
     The item of a given rank is a Fenwick descent to its slot plus a
     slot -> item map (int32, one entry per slot).  Only max-push reads it,
     so the map is allocated by _map_slots on first use; from then on each
-    record stores one entry and each renumbering rewrites it.  Writing
-    into the stamps array in place bypasses the Fenwick tree and the map
-    and leaves the table inconsistent.
+    record stores one entry and each renumbering rewrites it.  Alongside
+    the map the table keeps _bnd[j], the item of rank 2^(j+1) - 1, for
+    every level j: the least recent item of level j in an MRU tree.  A
+    record of an item of rank r adds one to every rank below r, so each
+    boundary of rank at most r steps to the next live slot of the map;
+    a boundary only ever moves to newer slots, so each dead slot is
+    skipped at most once per boundary between renumberings, amortised
+    O(1) per level and record.  Writing into the stamps array in place
+    bypasses the Fenwick tree, the map and the boundaries and leaves the
+    table inconsistent.
     """
 
     def __init__(self, n, stamps=None):
         self.n = int(n)
         self._size = self.n + self.n // 4 + 1
         self._item = None  # the slot -> item map, allocated by _map_slots
+        self._bnd = None  # _bnd[j], the item of rank 2^(j+1) - 1, kept with the map
         if stamps is None:
             self._bind(np.arange(self.n - 1, -1, -1, dtype=np.int64))
             self._reset_fenwick()
@@ -84,15 +92,16 @@ class RankTable:
         """Restamp the items 0..n-1 from least to most recent."""
         order = np.argsort(self._stamps)
         self._stamps[order] = np.arange(self.n)
-        if self._item is not None:
-            np.frombuffer(self._item, dtype=np.int32)[:self.n] = order
         self._reset_fenwick()
+        if self._item is not None:
+            self._map_slots()
 
     def _map_slots(self):
-        """Allocate the slot -> item map if there is none, and fill it from the stamps."""
+        """Allocate the slot -> item map if there is none; fill it and the level boundaries from the stamps."""
         if self._item is None:
             self._item = memoryview(bytearray(4 * self._size)).cast("i")
         np.frombuffer(self._item, dtype=np.int32)[self._stamps] = np.arange(self.n, dtype=np.int32)
+        self._bnd = [self._item_of_rank((2 << j) - 1) for j in range(self.n.bit_length())]
 
     def _reset_fenwick(self):
         """Fenwick tree (int32 counts, indexed from 1) with slots 0..n-1 live; the clock at n."""
@@ -127,10 +136,11 @@ class RankTable:
             step >>= 1
         return self._item[slot]
 
-    def _touch(self, v):
-        """Move item v to the clock slot, the most recent one."""
+    def _touch(self, v, r):
+        """Move item v, of rank r, to the clock slot, the most recent one."""
         fen, size, stamps = self._fen, self._size, self._sv
-        i = stamps[v] + 1
+        old = stamps[v]
+        i = old + 1
         while i <= size:
             fen[i] -= 1
             i += i & -i
@@ -139,8 +149,17 @@ class RankTable:
             fen[i] += 1
             i += i & -i
         stamps[v] = self.clock
-        if self._item is not None:
-            self._item[self.clock] = v
+        item = self._item
+        if item is not None:
+            item[self.clock] = v
+            bnd = self._bnd
+            # each boundary of rank 2^(j+1) - 1 <= r steps up; v's own, if r is one, from v's old slot
+            for j in range((r + 1).bit_length() - 1):
+                w = bnd[j]
+                i = (old if w == v else stamps[w]) + 1
+                while stamps[item[i]] != i:
+                    i += 1
+                bnd[j] = item[i]
         self.clock += 1
         if self.clock == size:
             self._renumber()
@@ -181,7 +200,7 @@ def record(rt: RankTable, v) -> int:
     """Stamp v as the most recent item; returns its rank before the update."""
     v = _check_index(v, rt.n)
     r = rt.rank(v)
-    rt._touch(v)
+    rt._touch(v, r)
     return r
 
 

@@ -95,3 +95,19 @@ def test_fast_paths_match_numpy_indexing(kind, n, workload):
     assert fast.tree.host.tolist() == ref.host.tolist()
     assert (fast.ledger.access_total, fast.ledger.adjust_total) == (ref.access_total, ref.adjust_total)
     assert fast.ws.total == ref.ws_total
+
+
+@pytest.mark.parametrize("subset", [7, 15])
+def test_max_push_cycle_demotes_the_requested_items_own_boundary(subset):
+    # after the first lap each request is for the cycle's least recent item, of rank
+    # subset = 2^(k+1) - 1 at depth k, so the rank table steps that item's own level boundary
+    n, seed = 255, 13
+    items = generate(WorkloadSpec(kind="cyclic", n=n, m=1000, subset_size=subset, seed=seed))
+    fast, ref = Policy("max-push", n, seed=seed), NumpyReference("max-push", n, seed)
+    for i, v in enumerate(items):
+        served = fast.serve(v)
+        assert served == ref.serve(v)
+        if i >= subset:
+            assert served[2] == subset == (2 << served[0]) - 1
+    assert fast.tree.guest.tolist() == ref.guest.tolist()
+    assert (fast.ledger.access_total, fast.ledger.adjust_total) == (ref.access_total, ref.adjust_total)

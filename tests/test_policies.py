@@ -586,6 +586,33 @@ def test_max_push_rejection_changes_nothing():
     assert snapshot(p) == before
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([7, 15, 255]), data=st.data())
+def test_max_push_after_a_record_outside_serve_serves_as_fresh_or_rejects(n, data):
+    p = Policy("max-push", n)
+    for v in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * (n // 4 + 1))):
+        p.serve(v)
+    # stamping the root's item changes no rank; any other item leaves the tree out of MRU order
+    record(p.ranks, int(p.tree.guest[0]) if data.draw(st.booleans()) else data.draw(st.integers(0, n - 1)))
+    fresh = Policy("max-push", n)
+    fresh.tree = TreeState(n, guests=p.tree.guest)
+    fresh.ranks = RankTable(n, stamps=p.ranks.stamps)
+    u = data.draw(st.integers(0, n - 1))
+    before = (snapshot(p), list(p.ranks._bnd))
+    try:
+        served = p.serve(u)
+    except ValueError as exc:
+        assert "MRU" in str(exc)
+        assert (snapshot(p), p.ranks._bnd) == before
+        with pytest.raises(ValueError, match="MRU"):
+            fresh.serve(u)
+    else:
+        assert served == fresh.serve(u)
+        assert p.tree.guest.tolist() == fresh.tree.guest.tolist()
+        assert rank_order(p.ranks).tolist() == rank_order(fresh.ranks).tolist()
+        assert p.ranks._bnd == fresh.ranks._bnd
+
+
 INVALID = st.sampled_from([3.7, -1, 15, 99, "3", None, 2.0])
 
 

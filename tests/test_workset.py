@@ -130,6 +130,31 @@ def test_item_of_rank_inverts_rank(n, data):
     assert [rt._item_of_rank(r) for r in range(1, n + 1)] == rank_order(rt).tolist()
 
 
+def level_boundaries(rt):
+    """The item of rank 2^(j+1) - 1 for every level j, read off the full recency order."""
+    order = rank_order(rt)
+    return [int(order[(2 << j) - 2]) for j in range(rt.n.bit_length())]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 3, 7, 255]), data=st.data())
+def test_level_boundaries_follow_every_record_and_rebinding(n, data):
+    # the boundaries are seeded once, then stepped by every record across three renumberings
+    laps = 3 * (n // 4 + 1)
+    requests = st.lists(st.integers(0, n - 1), min_size=laps, max_size=laps + 40)
+    rt = RankTable(n, stamps=data.draw(st.permutations(range(0, 3 * n, 3))))
+    rt._map_slots()
+    assert rt._bnd == level_boundaries(rt)
+    for v in data.draw(requests):
+        record(rt, v)
+        assert rt._bnd == level_boundaries(rt)
+    rt.stamps = data.draw(st.permutations(range(n)))
+    assert rt._bnd == level_boundaries(rt)
+    for v in data.draw(requests):
+        record(rt, v)
+        assert rt._bnd == level_boundaries(rt)
+
+
 def test_stamps_must_be_distinct():
     with pytest.raises(ValueError, match="distinct"):
         RankTable(3, stamps=[5, 2, 5])

@@ -23,40 +23,50 @@ def check_supported(n, m):
     """Refuse an oracle run the exact optimum cannot handle: n items, m requests."""
     if n not in ORACLE_SIZES:
         raise ValueError(f"offline oracle refused for n={n}; supported sizes: {ORACLE_SIZES}")
+    if m < 0:
+        raise ValueError("request count must be >= 0")
     if m > MAX_REQUESTS[n]:
         raise ValueError(f"at most {MAX_REQUESTS[n]} requests supported for n={n}")
 
 
 class _ConfigSpace:
-    """All layouts of an n-server tree with the single-swap adjacency between them."""
+    """All layouts of an n-server tree with the single-swap adjacency between them.
+
+    Layouts are numbered lexicographically: layout p has the base-n key
+    sum(p[s] * n**(n-1-s)), and keys holds the keys in ascending order.
+    Each table has one row per server or per item: neighbors[s-1] is the
+    layout reached by swapping server s with its parent, and item_depth[v]
+    is the depth of item v in every layout.
+    """
 
     def __init__(self, n):
-        self.perms = list(itertools.permutations(range(n)))
-        self.index = {p: i for i, p in enumerate(self.perms)}
-        P = len(self.perms)
-        self.neighbors = np.empty((P, n - 1), dtype=np.int64)
-        depths = [depth(s) for s in range(n)]
-        edges = [(s, parent(s)) for s in range(1, n)]
-        self.item_depth = np.empty((P, n), dtype=np.int64)
-        for i, p in enumerate(self.perms):
-            for s, ps in edges:
-                q = list(p)
-                q[s], q[ps] = q[ps], q[s]
-                self.neighbors[i, s - 1] = self.index[tuple(q)]
-            for s, item in enumerate(p):
-                self.item_depth[i, item] = depths[s]
+        perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                            dtype=np.int64).reshape(-1, n)
+        self.weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        self.keys = perms @ self.weights
+        servers = np.arange(1, n)
+        parents = np.array([parent(s) for s in range(1, n)])
+        # swapping servers s and ps moves the key by (p[ps] - p[s]) * (w[s] - w[ps])
+        shift = (perms[:, parents] - perms[:, servers]) * (self.weights[servers] - self.weights[parents])
+        self.neighbors = np.searchsorted(self.keys, self.keys[None, :] + shift.T)
+        depths = np.array([depth(s) for s in range(n)], dtype=np.int64)
+        self.item_depth = np.ascontiguousarray(depths[np.argsort(perms, axis=1)].T)
+
+    def index(self, layout):
+        """The number of a layout, a permutation of 0..n-1."""
+        return int(np.searchsorted(self.keys, np.dot(layout, self.weights)))
 
     def start(self, layout):
         """Costs before any move: 0 at the given layout, out of reach everywhere else."""
-        f = np.full(len(self.perms), _INF, dtype=np.int64)
-        f[self.index[layout]] = 0
+        f = np.full(len(self.keys), _INF, dtype=np.int64)
+        f[self.index(layout)] = 0
         return f
 
     def relax(self, f):
         """g(c) = min over c' of f(c') + swap distance from c' to c."""
         g = f
         while True:
-            h = np.minimum(g, g[self.neighbors].min(axis=1) + 1)
+            h = np.minimum(g, g[self.neighbors].min(axis=0) + 1)
             if np.array_equal(h, g):
                 return h
             g = h
@@ -82,7 +92,7 @@ def swap_distance(a, b) -> int:
         raise ValueError("layouts have different sizes")
     check_supported(len(a), 0)
     space = _space(len(a))
-    return int(space.relax(space.start(a))[space.index[b]])
+    return int(space.relax(space.start(a))[space.index(b)])
 
 
 def opt_cost(seq, init) -> int:
@@ -97,5 +107,5 @@ def opt_cost(seq, init) -> int:
     space = _space(n)
     f = space.start(init)
     for v in seq:
-        f = space.relax(f) + space.item_depth[:, _check_index(v, n)]
+        f = space.relax(f) + space.item_depth[_check_index(v, n)]
     return int(f.min())

@@ -134,6 +134,20 @@ def test_oracle_check_small(capsys):
     assert "max cost/opt" in capsys.readouterr().out
 
 
+def test_oracle_check_n7_output_is_pinned(capsys):
+    rc = main(["oracle-check", "--n", "7", "--m", "6", "--algo", "move-half", "--seed", "3"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "move-half on n=7: 100 sequences, max cost/opt = 4.75, floor violations = 0\n")
+
+
+@pytest.mark.parametrize("n, m", [(3, -1), (7, -2)])
+def test_oracle_check_refuses_a_negative_request_count(n, m, capsys):
+    rc = main(["oracle-check", "--n", str(n), "--m", str(m)])
+    assert rc == 2
+    assert capsys.readouterr().err == "satree: request count must be >= 0\n"
+
+
 def test_readme_cli_commands_parse():
     block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```sh", 1)[1]
     lines = block.split("```", 1)[0].splitlines()

@@ -7,6 +7,41 @@ import numpy as np
 import pytest
 
 from satree import Policy, opt_cost, swap_distance
+from satree.oracle import _INF, _ConfigSpace, check_supported
+from satree.tree import depth, parent
+
+
+class ReferenceSpace:
+    """The layout tables built one layout at a time, one row per layout, and their row-wise sweep.
+
+    Layouts are numbered in the order itertools.permutations yields them.
+    neighbors[i, s-1] is the layout reached from layout i by swapping
+    server s with its parent, and item_depth[i, v] is item v's depth there.
+    """
+
+    def __init__(self, n):
+        self.perms = list(itertools.permutations(range(n)))
+        self.index = {p: i for i, p in enumerate(self.perms)}
+        P = len(self.perms)
+        self.neighbors = np.empty((P, n - 1), dtype=np.int64)
+        depths = [depth(s) for s in range(n)]
+        edges = [(s, parent(s)) for s in range(1, n)]
+        self.item_depth = np.empty((P, n), dtype=np.int64)
+        for i, p in enumerate(self.perms):
+            for s, ps in edges:
+                q = list(p)
+                q[s], q[ps] = q[ps], q[s]
+                self.neighbors[i, s - 1] = self.index[tuple(q)]
+            for s, item in enumerate(p):
+                self.item_depth[i, item] = depths[s]
+
+    def relax(self, f):
+        g = f
+        while True:
+            h = np.minimum(g, g[self.neighbors].min(axis=1) + 1)
+            if np.array_equal(h, g):
+                return h
+            g = h
 
 
 def oracle_swap_distance(n, start, goal):
@@ -26,6 +61,55 @@ def oracle_swap_distance(n, start, goal):
                 seen[nxt] = seen[cur] + 1
                 queue.append(nxt)
     raise AssertionError("unreachable layout")
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_row_tables_match_the_reference_tables(n):
+    space, ref = _ConfigSpace(n), ReferenceSpace(n)
+    assert np.array_equal(space.neighbors, ref.neighbors.T)
+    assert np.array_equal(space.item_depth, ref.item_depth.T)
+    for i, p in enumerate(ref.perms):
+        assert space.index(p) == i
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_relax_matches_the_reference_sweep(n):
+    space, ref = _ConfigSpace(n), ReferenceSpace(n)
+    rng = np.random.default_rng(n)
+    P = len(ref.perms)
+    for out_of_reach in (0.0, 0.5, 0.99):
+        for _ in range(5):
+            f = rng.integers(0, 3 * n, size=P)
+            f[rng.random(P) < out_of_reach] = _INF
+            f[rng.integers(P)] = rng.integers(0, 3 * n)
+            assert np.array_equal(space.relax(f), ref.relax(f))
+    f = np.full(P, _INF, dtype=np.int64)
+    assert np.array_equal(space.relax(f), ref.relax(f))
+
+
+@pytest.mark.parametrize("n, m", [(3, -1), (7, -2)])
+def test_check_supported_refuses_a_negative_request_count(n, m):
+    with pytest.raises(ValueError, match="request count must be >= 0"):
+        check_supported(n, m)
+
+
+# opt_cost of move-half's acceptance gate (c03): 200 sequences of 6 requests at n = 7 from default_rng(33)
+C03_OPT_N7 = [
+    9, 7, 9, 8, 3, 8, 7, 7, 7, 5, 9, 8, 7, 7, 5, 7, 6, 6, 7, 9, 7, 7, 8, 6, 8,
+    5, 7, 5, 8, 10, 7, 7, 5, 7, 7, 7, 8, 5, 9, 9, 9, 8, 8, 5, 6, 5, 8, 7, 9, 8,
+    6, 7, 8, 5, 5, 6, 9, 7, 6, 7, 6, 7, 7, 6, 8, 7, 7, 7, 8, 6, 3, 8, 8, 8, 8,
+    7, 7, 5, 6, 5, 7, 7, 8, 6, 5, 7, 7, 8, 7, 7, 6, 8, 7, 5, 8, 9, 7, 7, 6, 8,
+    7, 7, 5, 6, 7, 8, 8, 8, 8, 6, 8, 6, 5, 7, 9, 7, 7, 5, 7, 7, 7, 6, 8, 5, 5,
+    7, 6, 6, 7, 6, 7, 7, 7, 4, 6, 9, 7, 8, 7, 6, 8, 7, 7, 8, 6, 9, 7, 6, 6, 6,
+    4, 6, 4, 9, 7, 7, 5, 9, 6, 7, 8, 9, 8, 7, 7, 8, 8, 7, 6, 9, 6, 8, 5, 7, 8,
+    7, 8, 9, 6, 7, 8, 9, 7, 7, 7, 8, 10, 8, 5, 8, 7, 8, 8, 5, 7, 4, 9, 8, 5, 9,
+]
+
+
+def test_opt_cost_is_pinned_on_the_c03_sequences():
+    rng = np.random.default_rng(33)
+    costs = [opt_cost(rng.integers(0, 7, size=6).tolist(), tuple(range(7))) for _ in range(200)]
+    assert costs == C03_OPT_N7
 
 
 def test_swap_distance_examples():

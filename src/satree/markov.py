@@ -10,10 +10,11 @@ expected_state_curve read one walk, whose i and w must be exact integers.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .tree import _exact_int
 
 
 @dataclass
@@ -42,17 +43,9 @@ class DepthDistribution:
         return 1.0 - p.cumsum()
 
 
-def _count(x) -> int:
-    """x as a Python int, for an exact integer; ValueError otherwise."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"need an integer, got {x!r}") from None
-
-
 def _walk(i, w):
     """Yield the state distribution after 0, 1, ..., w steps from state 0 on the i-state chain."""
-    i, w = _count(i), _count(w)
+    i, w = _exact_int(i, "i"), _exact_int(w, "w")
     if i < 1 or w < 0:
         raise ValueError("need i >= 1 and w >= 0")
     push = np.exp2(-np.arange(i, dtype=np.float64))
@@ -75,13 +68,8 @@ def walk_distribution(i, w) -> DepthDistribution:
     return DepthDistribution(probs / probs.sum())
 
 
-def expected_state(i, w) -> float:
-    """E of the walk's final state; below ceil(log2 w) + 1 for every w >= 2."""
-    return walk_distribution(i, w).mean()
-
-
 def expected_state_curve(i, w_max) -> np.ndarray:
-    """expected_state(i, w) for all w = 0..w_max in one walk."""
+    """The mean state of the walk after each of w = 0..w_max steps, from one walk."""
     walk = _walk(i, w_max)
     states = np.arange(next(walk).size, dtype=np.float64)  # the walk starts at state 0, mean 0
     return np.array([0.0] + [float(probs @ states) for probs in walk])
@@ -89,7 +77,7 @@ def expected_state_curve(i, w_max) -> np.ndarray:
 
 def binomial_identity(w) -> float:
     """Mean of Binomial(w, 1/w) evaluated term by term; equals 1 for every w >= 1."""
-    w = _count(w)
+    w = _exact_int(w, "w")
     if w < 1:
         raise ValueError("need w >= 1")
     stay, total = (w - 1) / w, 0.0
@@ -105,13 +93,7 @@ _CONCAVITY_TOL = 1e-12
 
 
 def concavity_check(i, w_max) -> bool:
-    """True iff the first differences of expected_state are non-increasing over 1..w_max."""
-    if _count(w_max) < 2:
+    """True iff the first differences of expected_state_curve are non-increasing over 1..w_max."""
+    if _exact_int(w_max, "w_max") < 2:
         raise ValueError("need w_max >= 2")
     return bool((np.diff(expected_state_curve(i, w_max), 2) <= _CONCAVITY_TOL).all())
-
-
-def stochastically_leq(x: DepthDistribution, y: DepthDistribution, tol=0.0) -> bool:
-    """True iff P[X > z] <= P[Y > z] + tol at every threshold (supports zero-padded)."""
-    m = max(x.probs.size, y.probs.size)
-    return bool((x.survival(m) <= y.survival(m) + tol).all())

@@ -1,7 +1,7 @@
 """Exact offline optimum on tiny trees by dynamic programming over all layouts.
 
-opt_cost and swap_distance relax one layout's cost vector over the swap graph
-of all n! layouts; check_supported is the one rule on n and the request count.
+opt_cost relaxes one layout's cost vector over the swap graph of all n!
+layouts; check_supported is the one rule on n and the request count.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tree import _check_index, depth, parent
+from .tree import _exact_int, depth, parent
 
 ORACLE_SIZES = (3, 7)
 MAX_REQUESTS = {3: 12, 7: 8}
@@ -79,20 +79,10 @@ _space = lru_cache(maxsize=None)(_ConfigSpace)
 def _as_config(layout):
     """The layout as a tuple, for an exact-integer permutation of 0..n-1; ValueError otherwise."""
     n = len(layout)
-    config = tuple(_check_index(g, n) for g in layout)
+    config = tuple(_exact_int(g, "item id", n) for g in layout)
     if len(set(config)) != n:
         raise ValueError(f"layout {config} is not a permutation of 0..{n - 1}")
     return config
-
-
-def swap_distance(a, b) -> int:
-    """Minimum number of parent-child swaps turning layout a into layout b."""
-    a, b = _as_config(a), _as_config(b)
-    if len(a) != len(b):
-        raise ValueError("layouts have different sizes")
-    check_supported(len(a), 0)
-    space = _space(len(a))
-    return int(space.relax(space.start(a))[space.index(b)])
 
 
 def opt_cost(seq, init) -> int:
@@ -107,5 +97,5 @@ def opt_cost(seq, init) -> int:
     space = _space(n)
     f = space.start(init)
     for v in seq:
-        f = space.relax(f) + space.item_depth[_check_index(v, n)]
+        f = space.relax(f) + space.item_depth[_exact_int(v, "item id", n)]
     return int(f.min())

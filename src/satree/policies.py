@@ -7,7 +7,7 @@ import operator
 
 import numpy as np
 
-from .tree import CostLedger, TreeState, _check_index, interchange, is_complete_size, tree_distance
+from .tree import CostLedger, TreeState, _exact_int, interchange, is_complete_size, tree_distance
 from .workset import RankTable, WsAccumulator, is_mru, max_rank_item_at_depth
 
 POLICY_KINDS = ("move-half", "random-push", "max-push", "static-mfu", "fixed")
@@ -200,7 +200,7 @@ class Policy:
         A request over its kind's cost bound raises RuntimeError with the
         tree moved but nothing charged.
         """
-        u = _check_index(u, self.tree.n)
+        u = _exact_int(u, "item id", self.tree.n)
         k = (self.tree._hv[u] + 1).bit_length() - 1  # u's depth; the tree's own server id needs no check
         r = self.ranks.rank(u)  # ranks do not depend on the tree, so the adjustment leaves r as is
         adjust, path = _ADJUST[self.kind](self, u, k, r)

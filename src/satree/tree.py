@@ -12,53 +12,41 @@ def is_complete_size(n) -> bool:
     return n >= 1 and (n & (n + 1)) == 0
 
 
-def _server_id(s) -> int:
-    """s as a Python int, for an exact non-negative integer server id; ValueError otherwise."""
-    try:
-        s = operator.index(s)
-    except TypeError:
-        raise ValueError(f"server id must be an integer, got {s!r}") from None
-    if s < 0:
-        raise ValueError(f"server index {s} out of range")
-    return s
+_NP_BOOL = np.bool_
+
+
+def _exact_int(x, what, n=None) -> int:
+    """x as a Python int, for an exact integer in 0..n-1, or any x >= 0 when n is None.
+
+    bool and numpy.bool_ are refused, although Python counts bool as an int;
+    ValueError for anything refused.  Two identity tests on the type cost
+    less per call than an isinstance; they miss only subclasses of
+    numpy.bool_, which numpy itself never makes (bool has none).
+    """
+    cls = type(x)
+    if cls is not bool and cls is not _NP_BOOL:
+        try:
+            x = operator.index(x)
+        except TypeError:
+            pass
+        else:
+            if x >= 0 and (n is None or x < n):
+                return x
+            raise ValueError(f"{what} {x} out of range")
+    raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
 def depth(s) -> int:
     """Depth of server s in heap layout; the root (s=0) has depth 0."""
-    return (_server_id(s) + 1).bit_length() - 1
-
-
-def _check_index(v, n, what="item") -> int:
-    """v as a Python int, for an exact integer id in 0..n-1; ValueError otherwise."""
-    try:
-        v = operator.index(v)
-    except TypeError:
-        raise ValueError(f"{what} id must be an integer, got {v!r}") from None
-    if not 0 <= v < n:
-        raise ValueError(f"unknown {what} {v}")
-    return v
+    return (_exact_int(s, "server id") + 1).bit_length() - 1
 
 
 def parent(s) -> int:
     """Parent of server s in heap layout; the root (s=0) has none."""
-    s = _server_id(s)
+    s = _exact_int(s, "server id")
     if s == 0:
         raise ValueError("the root server 0 has no parent")
     return (s - 1) // 2
-
-
-def tree_path(a, b) -> list[int]:
-    """Servers on the unique a-b path, endpoints included."""
-    a, b = _server_id(a), _server_id(b)
-    up_a, up_b = [a], [b]
-    while depth(up_a[-1]) > depth(up_b[-1]):
-        up_a.append(parent(up_a[-1]))
-    while depth(up_b[-1]) > depth(up_a[-1]):
-        up_b.append(parent(up_b[-1]))
-    while up_a[-1] != up_b[-1]:
-        up_a.append(parent(up_a[-1]))
-        up_b.append(parent(up_b[-1]))
-    return up_a + up_b[-2::-1]
 
 
 def tree_distance(a, b) -> int:
@@ -69,7 +57,7 @@ def tree_distance(a, b) -> int:
     lowest common ancestor sits as many levels above both as the bit length
     of their XOR.
     """
-    x, y = _server_id(a) + 1, _server_id(b) + 1
+    x, y = _exact_int(a, "server id") + 1, _exact_int(b, "server id") + 1
     lift = x.bit_length() - y.bit_length()
     if lift > 0:
         x >>= lift
@@ -169,36 +157,12 @@ class TreeState:
         a = _permutation(a, self.n, "host")
         self._host, self._hv = a, _int64_view(a)
 
-    def level_slice(self, lvl) -> slice:
-        """Index range of the servers at a given depth."""
-        lo = (1 << lvl) - 1
-        return slice(lo, min(2 * lo + 1, self.n))
-
-    def item_depth(self, v) -> int:
-        return depth(self._hv[_check_index(v, self.n)])
-
-    def check_bijection(self):
-        """Raise RuntimeError unless guest and host are inverse permutations."""
-        ids = np.arange(self.n)
-        if not ((self.guest[self.host] == ids).all() and (self.host[self.guest] == ids).all()):
-            raise RuntimeError("guest and host are not inverse permutations")
-
 
 def routing_header(t: TreeState, v) -> str:
     """Child-choice bits from the root to the host of v ('0' left, '1' right)."""
-    s = t._hv[_check_index(v, t.n)]
+    s = t._hv[_exact_int(v, "item id", t.n)]
     # the binary expansion of s+1 below its leading bit is exactly the path
     return bin(s + 1)[3:]
-
-
-def follow_header(t: TreeState, bits) -> int:
-    """Server reached by walking the given bits down from the root."""
-    s = 0
-    for b in bits:
-        if b not in ("0", "1"):
-            raise ValueError(f"routing header bits must be '0' or '1', got {b!r}")
-        s = 2 * s + 1 + (b == "1")
-    return _check_index(s, t.n, "server")
 
 
 def interchange(t: TreeState, u, v) -> int:
@@ -209,7 +173,7 @@ def interchange(t: TreeState, u, v) -> int:
     u/v exchange is materialized here; returns the 2d-1 swaps the walk
     costs, one below the 2d worst case.
     """
-    u, v = _check_index(u, t.n), _check_index(v, t.n)
+    u, v = _exact_int(u, "item id", t.n), _exact_int(v, "item id", t.n)
     if u == v:
         return 0
     guest, host = t._gv, t._hv

@@ -70,21 +70,25 @@ def generate(spec: WorkloadSpec) -> np.ndarray:
 
 
 def read_trace(path, n) -> np.ndarray:
-    """One decimal item id per line as an int64 array; '#' lines are comments, blanks skipped."""
+    """One decimal item id per line as an int64 array; '#' lines are comments, blanks skipped.
+
+    An id is ASCII digits only: no sign, underscore or non-ASCII digit.  The
+    lines are read as bytes, for which isdigit() is exactly that test, so
+    nothing is decoded.
+    """
     # grown in place and returned as a view, so a list and an array never coexist in memory;
     # its append is bound once, since an array append costs more per call than a list's
     items = array("q")
     append = items.append
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line[0] == "#":
+            if not line or line[0] == 35:  # ord("#")
                 continue
-            try:
-                v = int(line)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a decimal item id: {line!r}") from None
-            if not 0 <= v < n:
+            if not line.isdigit():
+                raise ValueError(f"{path}:{lineno}: not a decimal item id: {line.decode(errors='replace')!r}")
+            v = int(line)
+            if v >= n:
                 raise ValueError(f"{path}:{lineno}: item id {v} out of range for n={n}")
             append(v)
     return np.frombuffer(items, dtype=np.int64)

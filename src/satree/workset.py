@@ -1,4 +1,4 @@
-"""Recency ranks, the working-set bound, and MRU-layout diagnostics."""
+"""Recency ranks, the working-set bound, and the MRU-layout predicate."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import functools
 
 import numpy as np
 
-from .tree import TreeState, _check_index, _int64_view
+from .tree import TreeState, _exact_int, _int64_view
 
 
 class WsAccumulator:
@@ -111,8 +111,8 @@ class RankTable:
     def rank(self, v) -> int:
         """Rank of item v, by one Fenwick prefix count over the older slots.
 
-        v must be an item id already checked: the module-level rank() and
-        record() check it, and Policy.serve checks its request once.
+        v must be an item id already checked: record() checks it, and
+        Policy.serve checks its request once.
         """
         fen, i, older = self._fen, self._sv[v] + 1, 0
         while i:
@@ -179,26 +179,9 @@ def _fresh_fenwick(n, size) -> bytes:
     return np.maximum(counts, 0).tobytes()
 
 
-def rank(rt: RankTable, v) -> int:
-    """1 + number of items accessed strictly more recently than v."""
-    return rt.rank(_check_index(v, rt.n))
-
-
-def rank_order(rt: RankTable) -> np.ndarray:
-    """Item ids sorted from most to least recently accessed (rank 1 first)."""
-    return np.argsort(-rt.stamps)
-
-
-def ranks(rt: RankTable) -> np.ndarray:
-    """All ranks at once: a permutation of 1..n indexed by item id."""
-    out = np.empty(rt.n, dtype=np.int64)
-    out[rank_order(rt)] = np.arange(1, rt.n + 1)
-    return out
-
-
 def record(rt: RankTable, v) -> int:
     """Stamp v as the most recent item; returns its rank before the update."""
-    v = _check_index(v, rt.n)
+    v = _exact_int(v, "item id", rt.n)
     r = rt.rank(v)
     rt._touch(v, r)
     return r
@@ -206,7 +189,8 @@ def record(rt: RankTable, v) -> int:
 
 def max_rank_item_at_depth(rt: RankTable, t: TreeState, lvl) -> int:
     """The least recently used item among those hosted at the given depth."""
-    guests = t.guest[t.level_slice(lvl)]
+    lo = (1 << lvl) - 1
+    guests = t.guest[lo:2 * lo + 1]
     return int(guests[np.argmin(rt.stamps[guests])])
 
 
@@ -224,23 +208,3 @@ def _level_minima(t: TreeState, st) -> tuple[np.ndarray, bool]:
 def is_mru(t: TreeState, rt: RankTable) -> bool:
     """True iff every item sits at depth floor(log2(rank))."""
     return _level_minima(t, rt.stamps[t.guest])[1]
-
-
-def is_mru_beta(t: TreeState, rt: RankTable, beta) -> bool:
-    """True iff every item sits at most beta levels below its MRU depth."""
-    return bool((t.depths[t.host] - t.depths[ranks(rt) - 1] <= int(beta)).all())
-
-
-def bad_pairs(t: TreeState, rt: RankTable):
-    """Depth-order inversions against recency, and the product potential built on them.
-
-    alpha[i] counts servers strictly deeper than server i whose guests were
-    accessed more recently than i's guest.  Returns (alpha, B, phi) with
-    B = prod_i (1 + alpha[i] / 2^depth(i)) and phi = log2(B).
-    """
-    guest_rank = ranks(rt)[t.guest]
-    deeper = t.depths[:, None] < t.depths[None, :]
-    staler = guest_rank[:, None] > guest_rank[None, :]
-    alpha = (deeper & staler).sum(axis=1).astype(np.int64)
-    factors = 1.0 + alpha / np.exp2(t.depths.astype(np.float64))
-    return alpha, float(factors.prod()), float(np.log2(factors).sum())

@@ -150,7 +150,7 @@ def test_rank_stats_match_brute_force_oracle():
     # replay the identical run and count deeper-targeted requests directly, O(n*m)
     import numpy as np
 
-    from satree import Policy, generate, rank
+    from satree import Policy, generate
     from satree.tree import depth
 
     n, m, seed = 15, 400, 3
@@ -167,7 +167,7 @@ def test_rank_stats_match_brute_force_oracle():
     w_cnt = np.zeros(n + 1)
     for u in seq:
         k = depth(t.host[u])
-        r = rank(rt, u)
+        r = rt.rank(u)
         d_sum[r] += k
         d_cnt[r] += 1
         if seen[u]:

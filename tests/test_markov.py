@@ -1,4 +1,4 @@
-"""Exact push-down chain distributions and the stochastic-order predicate."""
+"""Exact push-down chain distributions and their means."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,7 @@ from satree import (
     DepthDistribution,
     binomial_identity,
     concavity_check,
-    expected_state,
     expected_state_curve,
-    stochastically_leq,
     walk_distribution,
 )
 
@@ -42,9 +40,9 @@ def test_walk_distribution_support_and_mass():
 
 
 def test_expected_state_examples():
-    assert expected_state(2, 100) == 1.0
-    assert expected_state(3, 2) == pytest.approx(1.5)
-    assert expected_state(64, 1024) < 11
+    assert expected_state_curve(2, 100)[100] == 1.0
+    assert expected_state_curve(3, 2)[2] == pytest.approx(1.5) == walk_distribution(3, 2).mean()
+    assert expected_state_curve(64, 1024)[1024] < 11
 
 
 def test_expected_state_curve_is_increasing_then_flat():
@@ -63,7 +61,7 @@ def test_binomial_identity_small_cases():
         binomial_identity(0)
 
 
-@pytest.mark.parametrize("bad", [2.5, 2.0, "3", None])
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3", None, True])
 def test_binomial_identity_takes_integers_only(bad):
     with pytest.raises(ValueError, match="integer"):
         binomial_identity(bad)
@@ -89,29 +87,6 @@ def test_concavity_small_and_medium():
     assert concavity_check(16, 256)
 
 
-def test_stochastic_order_reflexive_and_point_masses():
-    x = walk_distribution(5, 7)
-    assert stochastically_leq(x, x)
-    zero = DepthDistribution([1.0, 0.0])
-    one = DepthDistribution([0.0, 1.0])
-    assert stochastically_leq(zero, one)
-    assert not stochastically_leq(one, zero)
-
-
-def test_stochastic_order_padding_and_antisymmetry():
-    rng = np.random.default_rng(3)
-    short = DepthDistribution([0.25, 0.75])
-    long = DepthDistribution([0.25, 0.75, 0.0, 0.0])
-    assert stochastically_leq(short, long) and stochastically_leq(long, short)
-    for _ in range(50):
-        a = rng.random(5)
-        b = rng.random(5)
-        x = DepthDistribution(a / a.sum())
-        y = DepthDistribution(b / b.sum())
-        if stochastically_leq(x, y, tol=1e-12) and stochastically_leq(y, x, tol=1e-12):
-            assert np.allclose(x.survival(5), y.survival(5), atol=1e-9)
-
-
 def test_depth_distribution_validation():
     with pytest.raises(ValueError):
         DepthDistribution([0.5, 0.4])
@@ -122,3 +97,9 @@ def test_depth_distribution_validation():
     for bad in ([np.nan, 1.0], [np.inf, 0.0]):
         with pytest.raises(ValueError, match="finite"):
             DepthDistribution(bad)
+
+
+def test_survival_pads_with_zero_mass():
+    d = DepthDistribution([0.25, 0.75])
+    assert d.survival().tolist() == [0.75, 0.0]
+    assert d.survival(4).tolist() == [0.75, 0.0, 0.0, 0.0]

@@ -1,4 +1,4 @@
-"""Exact offline optimum and the swap metric on tiny configuration graphs."""
+"""Exact offline optimum and swap distances on tiny configuration graphs."""
 
 import collections
 import itertools
@@ -6,8 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from satree import Policy, opt_cost, swap_distance
-from satree.oracle import _INF, _ConfigSpace, check_supported
+from satree import Policy, opt_cost
+from satree.oracle import _INF, _ConfigSpace, _space, check_supported
 from satree.tree import depth, parent
 
 
@@ -112,6 +112,12 @@ def test_opt_cost_is_pinned_on_the_c03_sequences():
     assert costs == C03_OPT_N7
 
 
+def swap_distance(a, b):
+    """Minimum number of parent-child swaps turning layout a into layout b, by one relaxation."""
+    space = _space(len(a))
+    return int(space.relax(space.start(a))[space.index(b)])
+
+
 def test_swap_distance_examples():
     assert swap_distance((0, 1, 2), (0, 1, 2)) == 0
     assert swap_distance((0, 1, 2), (1, 0, 2)) == 1
@@ -127,13 +133,6 @@ def test_swap_distance_matches_bfs_oracle_n3():
     for _ in range(12):
         a, b = tuple(rng.permutation(7).tolist()), tuple(rng.permutation(7).tolist())
         assert swap_distance(a, b) == oracle_swap_distance(7, a, b)
-
-
-def test_swap_distance_validation():
-    with pytest.raises(ValueError):
-        swap_distance((0, 1, 2), (0, 1, 2, 3, 4, 5, 6))
-    with pytest.raises(ValueError):
-        swap_distance((0, 1, 2, 3), (0, 1, 2, 3))  # n=4 unsupported
 
 
 def test_opt_cost_base_cases():
@@ -176,6 +175,9 @@ def test_opt_cost_floors_every_policy():
 def test_opt_cost_rejects_a_fractional_item():
     with pytest.raises(ValueError, match="integer"):
         opt_cost([1.7, 2], (0, 1, 2))
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError, match="item id must be an integer"):
+            opt_cost([flag, 2], (0, 1, 2))
 
 
 def test_opt_cost_rejects_a_fractional_layout():
@@ -183,6 +185,6 @@ def test_opt_cost_rejects_a_fractional_layout():
         opt_cost([1], (0.2, 1, 2))
 
 
-def test_swap_distance_rejects_a_non_permutation():
+def test_opt_cost_rejects_a_non_permutation():
     with pytest.raises(ValueError, match="permutation"):
-        swap_distance((0, 0, 1), (0, 1, 2))
+        opt_cost([1], (0, 0, 1))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checkers import check_bijection, rank_order
 from satree import (
     Policy,
     RankTable,
@@ -20,14 +21,13 @@ from satree import (
     expected_path_length,
     interchange,
     is_mru,
-    rank,
     record,
     routing_header,
     tree_distance,
 )
 from satree.policies import POLICY_KINDS, _push_down
 from satree.tree import depth
-from satree.workset import _level_minima, rank_order
+from satree.workset import _level_minima
 
 
 def word_of(bits):
@@ -82,7 +82,7 @@ def test_move_half_opposite_branch_example():
     assert a + j <= 4 * a <= 12
     assert int(t.host[7]) == 2  # u landed at depth 1
     assert int(t.host[2]) == 7
-    t.check_bijection()
+    check_bijection(t)
 
 
 def test_move_half_per_request_bound_fuzz():
@@ -91,7 +91,7 @@ def test_move_half_per_request_bound_fuzz():
     per_request = [p.serve(int(v))[:2] for v in rng.integers(0, 31, size=3000)]
     assert all(a + j <= 4 * a for a, j in per_request if a)
     assert all((a, j) == (0, 0) for a, j in per_request if not a)
-    p.tree.check_bijection()
+    check_bijection(p.tree)
 
 
 def test_random_push_root_request_is_free():
@@ -131,7 +131,7 @@ def test_random_push_depths_never_decrease_except_requested():
         others = np.arange(31) != int(v)
         assert (after[others] >= before[others]).all()
     assert all(a + j <= 5 * a for a, j in per_request if a)
-    t.check_bijection()
+    check_bijection(t)
 
 
 def test_random_push_is_deterministic_given_seed():
@@ -149,7 +149,7 @@ def store_loop_random_push_serve(p, u, word):
     guest/host store per level, u to the root, and the end-of-path item's trip to u's old
     server charged by tree distance."""
     t = p.tree
-    k = t.item_depth(u)
+    k = depth(t.host[u])
     adjust, path = 0, None
     if k > 0:
         s = int(t.host[u])
@@ -185,14 +185,14 @@ def test_random_push_matches_store_loop(d, seed, requests):
     rng = np.random.default_rng(seed)
     for u, aim in requests:
         u %= n
-        k = fast.tree.item_depth(u)
+        k = depth(fast.tree.host[u])
         word = int(rng.integers(0, 1 << 64, dtype=np.uint64))
         if aim:
             word = word_of(routing_header(fast.tree, u)) | (word >> k)
         if k:
             fast._push_bits.words.append(word)
         assert fast.serve(u) == store_loop_random_push_serve(slow, u, word)
-        fast.tree.check_bijection()
+        check_bijection(fast.tree)
     assert fast.tree.guest.tolist() == slow.tree.guest.tolist()
     assert fast.tree.host.tolist() == slow.tree.host.tolist()
     assert (fast.ledger.access_total, fast.ledger.adjust_total) == \
@@ -228,7 +228,7 @@ def test_push_words_are_independent_of_the_workload_stream(seed):
 def test_max_push_root_request_only_updates_rank():
     p = Policy("max-push", 7)
     assert p.serve(0)[:2] == (0, 0)
-    assert rank(p.ranks, 0) == 1
+    assert p.ranks.rank(0) == 1
 
 
 def test_max_push_depth_one_exchange():
@@ -268,7 +268,7 @@ def test_max_push_keeps_mru_under_fuzz():
     for v in rng.integers(0, 15, size=1000):
         p.serve(int(v))
         assert is_mru(p.tree, p.ranks)
-    p.tree.check_bijection()
+    check_bijection(p.tree)
 
 
 def argsort_max_push_serve(p, u):
@@ -278,7 +278,7 @@ def argsort_max_push_serve(p, u):
     order = rank_order(p.ranks)
     if not (t.depths[t.host[order]] == t.depths).all():
         raise ValueError("max-push requires an MRU tree")
-    k = t.item_depth(u)
+    k = depth(t.host[u])
     adjust = 0
     if k > 0:
         demoted = [int(order[(1 << (i + 1)) - 2]) for i in range(k)]
@@ -318,7 +318,7 @@ def level_minima_max_push_serve(p, u):
     """Max-push's serve as it was before the Fenwick descents: the per-level stamp minima and
     the MRU check on every request, and each level's minimum-stamp server as the push chain."""
     t = p.tree
-    k = t.item_depth(u)
+    k = depth(t.host[u])
     stamps = p.ranks.stamps[t.guest]
     mins, mru = _level_minima(t, stamps)
     if not mru:
@@ -416,7 +416,7 @@ def test_in_place_edit_of_guest_and_host_is_seen_by_the_next_serve(kind):
     else:
         assert adjust == 6 + (0 if path[3] == 7 else tree_distance(path[3], 7))
         assert int(t.host[14]) == 0 and int(t.guest[7]) != 14
-    t.check_bijection()
+    check_bijection(t)
 
 
 def test_max_push_rejects_a_moved_least_recent_item_before_moving():
@@ -484,7 +484,7 @@ def test_static_mfu_matches_exhaustive_minimum():
         for a in range(7):
             for b in range(7):
                 if freq[a] > freq[b]:
-                    assert t.item_depth(a) <= t.item_depth(b)
+                    assert depth(t.host[a]) <= depth(t.host[b])
 
 
 def test_static_mfu_validation():
@@ -575,6 +575,19 @@ def test_rejected_request_changes_nothing(kind):
         assert snapshot(p) == before, bad
     p.serve(np.int64(3))  # numpy integers are exact integers
     assert snapshot(p) != before
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_bool_requests_are_refused_and_change_nothing(kind, flag):
+    # bool is an int subclass in Python, but no item id: both kinds of bool are refused alike
+    p = make_policy(kind, 15)
+    for v in (7, 3, 12):
+        p.serve(v)
+    before = snapshot(p)
+    with pytest.raises(ValueError, match="item id must be an integer"):
+        p.serve(flag)
+    assert snapshot(p) == before
 
 
 def test_max_push_rejection_changes_nothing():

@@ -75,6 +75,16 @@ def test_read_trace_reports_offending_line(tmp_path):
         read_trace(path, 3)
 
 
+@pytest.mark.parametrize("line", [b"1_0", "\u0663".encode(), b"-0", b"+3", b"\xff"],
+                         ids=["underscore", "arabic-indic-digit", "minus-zero", "plus-sign", "not-utf-8"])
+def test_read_trace_takes_ascii_digits_only(tmp_path, line):
+    # int() reads the first four as ids (10, 3, 0, 3); a trace id is plain decimal digits
+    path = tmp_path / "trace.txt"
+    path.write_bytes(b"0\n" + line + b"\n")
+    with pytest.raises(ValueError, match=":2: not a decimal item id"):
+        read_trace(path, 15)
+
+
 def test_trace_workload_through_generate(tmp_path):
     path = tmp_path / "trace.txt"
     path.write_text("2\n0\n2\n")

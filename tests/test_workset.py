@@ -1,4 +1,4 @@
-"""Rank bookkeeping, working-set accounting, MRU predicates, bad-pair diagnostics."""
+"""Rank bookkeeping, working-set accounting and the MRU predicate."""
 
 import math
 
@@ -7,19 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checkers import rank_order, ranks
 from satree import (
     RankTable,
     Policy,
     TreeState,
-    bad_pairs,
     is_mru,
-    is_mru_beta,
     max_rank_item_at_depth,
-    rank,
-    ranks,
     record,
 )
-from satree.workset import rank_order
 
 
 class ScanRanks:
@@ -49,18 +45,20 @@ def test_fresh_table_ranks_follow_initial_servers():
     t = TreeState(7)
     rt = RankTable.from_tree(t)
     for i in range(7):
-        assert rank(rt, i) == i + 1
-    with pytest.raises(ValueError):
-        rank(rt, 7)
+        assert rt.rank(i) == i + 1
+    for bad in (7, -1, 2.0, True, np.True_):
+        with pytest.raises(ValueError):
+            record(rt, bad)
+    assert [rt.rank(i) for i in range(7)] == list(range(1, 8))
 
 
 def test_rank_after_two_requests():
     rt = RankTable(3)
     record(rt, 0)
     record(rt, 1)
-    assert rank(rt, 0) == 2
-    assert rank(rt, 1) == 1
-    assert rank(rt, 2) == 3
+    assert rt.rank(0) == 2
+    assert rt.rank(1) == 1
+    assert rt.rank(2) == 3
 
 
 def test_record_returns_pre_update_rank_and_accumulates():
@@ -111,8 +109,8 @@ def test_fenwick_ranks_match_scan(n, data):
     rt, ref = RankTable(n), ScanRanks(n)
     for v, probe in steps:
         assert record(rt, v) == ref.record(v)
-        assert rank(rt, probe) == ref.rank(probe) == int((rt.stamps > rt.stamps[probe]).sum()) + 1
-    assert [rank(rt, v) for v in range(n)] == [ref.rank(v) for v in range(n)] == ranks(rt).tolist()
+        assert rt.rank(probe) == ref.rank(probe) == int((rt.stamps > rt.stamps[probe]).sum()) + 1
+    assert [rt.rank(v) for v in range(n)] == [ref.rank(v) for v in range(n)] == ranks(rt).tolist()
     assert 0 <= rt.stamps.min() and rt.stamps.max() < rt.clock
 
 
@@ -126,7 +124,7 @@ def test_item_of_rank_inverts_rank(n, data):
     for v in data.draw(st.lists(st.integers(0, n - 1), min_size=laps, max_size=laps + 40)):
         record(rt, v)
         probe = data.draw(st.integers(1, n))
-        assert rank(rt, rt._item_of_rank(probe)) == probe
+        assert rt.rank(rt._item_of_rank(probe)) == probe
     assert [rt._item_of_rank(r) for r in range(1, n + 1)] == rank_order(rt).tolist()
 
 
@@ -171,10 +169,10 @@ def test_rebinding_stamps_rebuilds_the_table(rebind):
     for v in (3, 5, 3, 0):
         record(rt, v)
     rt.stamps = rebind(rt.stamps)
-    assert [rank(rt, v) for v in range(7)] == ranks(rt).tolist()
+    assert [rt.rank(v) for v in range(7)] == ranks(rt).tolist()
     for v in (6, 2, 6):
         record(rt, v)
-    assert [rank(rt, v) for v in range(7)] == ranks(rt).tolist()
+    assert [rt.rank(v) for v in range(7)] == ranks(rt).tolist()
     rt._map_slots()
     assert [rt._item_of_rank(r) for r in range(1, 8)] == rank_order(rt).tolist()
 
@@ -182,11 +180,11 @@ def test_rebinding_stamps_rebuilds_the_table(rebind):
 def test_rebinding_bad_stamps_leaves_the_table_unchanged():
     rt = RankTable(7)
     record(rt, 4)
-    before = (rt.stamps.tolist(), rt.clock, [rank(rt, v) for v in range(7)])
+    before = (rt.stamps.tolist(), rt.clock, [rt.rank(v) for v in range(7)])
     for bad, message in (([0, 1, 2, 3, 4, 5, 5], "distinct"), ([0, 1, 2], "one stamp per item")):
         with pytest.raises(ValueError, match=message):
             rt.stamps = bad
-        assert (rt.stamps.tolist(), rt.clock, [rank(rt, v) for v in range(7)]) == before
+        assert (rt.stamps.tolist(), rt.clock, [rt.rank(v) for v in range(7)]) == before
 
 
 def test_order_sensitivity_of_ws_total():
@@ -230,18 +228,6 @@ def test_level_minima_mru_predicate_matches_argsort(d, seed, layout):
         assert is_mru(t, rt)
 
 
-def test_is_mru_beta_slack():
-    t = TreeState(15)
-    rt = RankTable.from_tree(t)
-    for beta in range(5):
-        assert is_mru_beta(t, rt, beta)  # MRU implies every slack level
-    g = t.guest.tolist()
-    g[1], g[8] = g[8], g[1]  # demote the rank-2 item two levels
-    t2 = TreeState(15, guests=g)
-    assert is_mru_beta(t2, rt, 2)
-    assert not is_mru_beta(t2, rt, 1)
-
-
 def test_max_rank_item_at_depth_picks_least_recent():
     t = TreeState(7)
     rt = RankTable.from_tree(t)
@@ -250,63 +236,3 @@ def test_max_rank_item_at_depth_picks_least_recent():
     assert max_rank_item_at_depth(rt, t, 2) == 6
     record(rt, 6)  # item 6 becomes most recent; item 5 is now level 2's max rank
     assert max_rank_item_at_depth(rt, t, 2) == 5
-
-
-def oracle_bad_pairs(t, rt):
-    """Direct double-loop over server pairs, straight from the definition."""
-    rk = ranks(rt)
-    alpha = [0] * t.n
-    for i in range(t.n):
-        for j in range(t.n):
-            di, dj = int(t.depths[i]), int(t.depths[j])
-            if di < dj and rk[t.guest[i]] > rk[t.guest[j]]:
-                alpha[i] += 1
-    b = 1.0
-    for i in range(t.n):
-        b *= 1.0 + alpha[i] / 2 ** int(t.depths[i])
-    return alpha, b
-
-
-def test_bad_pairs_mru_tree_is_clean():
-    t = TreeState(7)
-    rt = RankTable.from_tree(t)
-    alpha, b, phi = bad_pairs(t, rt)
-    assert alpha.tolist() == [0] * 7
-    assert b == 1.0 and phi == 0.0
-
-
-def test_bad_pairs_single_inversion():
-    # root guest of rank 2, leaves of ranks 1 and 3: exactly one bad pair at the root
-    t = TreeState(3, guests=[1, 0, 2])
-    rt = RankTable(3)
-    alpha, b, phi = bad_pairs(t, rt)
-    assert alpha.tolist() == oracle_bad_pairs(t, rt)[0] == [1, 0, 0]
-    assert b == 2.0 and phi == 1.0
-
-
-def test_bad_pairs_matches_oracle_on_random_states():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        t = TreeState(15, guests=rng.permutation(15))
-        rt = RankTable(15)
-        for v in rng.integers(0, 15, size=rng.integers(0, 30)):
-            record(rt, int(v))
-        alpha, b, phi = bad_pairs(t, rt)
-        o_alpha, o_b = oracle_bad_pairs(t, rt)
-        assert alpha.tolist() == o_alpha
-        assert b == pytest.approx(o_b, rel=1e-12)
-        assert phi == pytest.approx(math.log2(o_b), abs=1e-12)
-        assert phi >= 0.0
-        assert (phi == 0.0) == (sum(o_alpha) == 0)
-
-
-def test_reversed_layout_maximizes_total_inversions():
-    import itertools
-
-    rt = RankTable(7)  # item i has rank i+1
-    totals = {}
-    for perm in itertools.permutations(range(7)):
-        t = TreeState(7, guests=list(perm))
-        totals[perm] = int(bad_pairs(t, rt)[0].sum())
-    reversed_layout = tuple(range(6, -1, -1))
-    assert totals[reversed_layout] == max(totals.values())

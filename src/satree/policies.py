@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -108,8 +107,8 @@ def _max_push(p, u, k, r):
     table keeps for every level (RankTable._bnd): a request costs O(log n)
     rank upkeep plus O(k), and the table's boundary steps skip amortised
     O(1) dead slots per level.  The full O(n) MRU check runs once per
-    binding, on the first request and on the next one after p.tree,
-    p.ranks, the tree's guest or host or the table's stamps are rebound.
+    binding, on the first request and on the next one after p.tree or
+    p.ranks is rebound; a check that passes seeds the table's boundaries.
     Every request checks that u and the items it demotes sit at their MRU
     depths, which also makes the chain one server per level and keeps u's
     server out of it.  An in-place change made outside serve that leaves
@@ -119,12 +118,11 @@ def _max_push(p, u, k, r):
     Raises ValueError, before anything moves, when a check fails.
     """
     t, rt = p.tree, p.ranks
-    bound = (t, rt, t.guest, t.host, rt.stamps)
-    if p._mru_bound is None or not all(map(operator.is_, bound, p._mru_bound)):
+    if t is not p._mru_tree or rt is not p._mru_ranks:
         if not is_mru(t, rt):
             raise ValueError("max-push requires an MRU tree")
         rt._map_slots()
-        p._mru_bound = bound
+        p._mru_tree, p._mru_ranks = t, rt
     # depth j holds the servers s with j + 1 bits in s + 1, and in an MRU tree the ranks with j + 1 bits
     if r.bit_length() != k + 1:
         raise ValueError("max-push requires an MRU tree")
@@ -167,7 +165,7 @@ class Policy:
             if freq is None:
                 raise ValueError("static-mfu needs an item frequency vector")
             self.tree = build_static_mfu(freq)
-            if self.tree.n != n:
+            if self.tree.n != _exact_int(n, "item count"):
                 raise ValueError("frequency vector length does not match n")
         else:
             self.tree = TreeState(n)
@@ -182,8 +180,8 @@ class Policy:
             self.rng = np.random.default_rng(seq)
             self._push_bits = np.random.PCG64(seq.spawn(1)[0])
             self._push_words = []
-        # max-push: the (tree, ranks, guest, host, stamps) its last full MRU check passed on
-        self._mru_bound = None
+        # max-push: the tree and rank table its last full MRU check passed on
+        self._mru_tree = self._mru_ranks = None
 
     def serve(self, u):
         """Serve one request for item u; returns (access, adjust, rank, path).
@@ -195,8 +193,8 @@ class Policy:
         working-set total.  A rejected request raises ValueError and
         changes nothing: an item that is not an integer in 0..n-1, or, for
         max-push, a tree that fails the full MRU check (on the first
-        request and after the tree, the rank table or their arrays are
-        rebound) or has u or an item it would demote off its MRU depth.
+        request and after p.tree or p.ranks is rebound) or has u or an
+        item it would demote off its MRU depth.
         A request over its kind's cost bound raises RuntimeError with the
         tree moved but nothing charged.
         """

@@ -67,14 +67,10 @@ def tree_distance(a, b) -> int:
 
 
 def _permutation(a, n, what) -> np.ndarray:
-    """a as a C-contiguous writable int64 array, if it is an integer permutation of 0..n-1.
-
-    An array that already is one is returned as is, anything else is copied; ValueError
-    when a is not such a permutation.
-    """
+    """A fresh C-contiguous int64 copy of a, if it is an integer permutation of 0..n-1; else ValueError."""
     a = np.asarray(a)
     if a.dtype.kind in "iu" and a.shape == (n,) and a.min() >= 0 and a.max() < n:
-        a = np.require(a, np.int64, "CAW")
+        a = np.array(a, dtype=np.int64)
         if np.bincount(a, minlength=n).min() == 1:
             return a
     raise ValueError(f"{what} must be an integer permutation of 0..n-1")
@@ -107,28 +103,24 @@ class TreeState:
     Both are C-contiguous int64 numpy arrays for vector work, and each has
     an int64 memoryview over the same buffer, _gv and _hv, through which
     the per-request scalar reads and stores go: a memoryview element costs
-    less than a numpy one.  In-place numpy writes are seen through the
-    views.  Rebinding t.guest or t.host checks that the new array is an
-    integer permutation of 0..n-1 (ValueError otherwise, with the old array
-    and view kept), copies it to C-contiguous int64 if it is not already,
-    and rebuilds the view; keeping the two inverse to each other is the
-    caller's part.
+    less than a numpy one.  The constructor makes both arrays, from a copy
+    of guests when one is given, and they stay the tree's for its lifetime:
+    t.guest and t.host cannot be rebound.  In-place numpy writes are seen
+    through the views; keeping the two inverse to each other is the
+    writer's part.
     """
 
     def __init__(self, n, guests=None):
+        n = _exact_int(n, "item count")
         if not is_complete_size(n):
             raise ValueError(f"item count must be 2^d - 1 for d >= 1, got {n}")
-        self.n = int(n)
-        if guests is None:
-            guest = np.arange(self.n, dtype=np.int64)
-        else:
-            # a copy, so that the tree never shares the caller's array
-            guest = _permutation(guests, self.n, "guests").copy()
-        host = np.empty(self.n, dtype=np.int64)
-        host[guest] = np.arange(self.n, dtype=np.int64)
+        self.n = n
+        guest = np.arange(n, dtype=np.int64) if guests is None else _permutation(guests, n, "guests")
+        host = np.empty(n, dtype=np.int64)
+        host[guest] = np.arange(n, dtype=np.int64)
         self._guest, self._gv = guest, _int64_view(guest)
         self._host, self._hv = host, _int64_view(host)
-        self.num_levels = self.n.bit_length()
+        self.num_levels = n.bit_length()
         # per-server depths floor(log2(s+1)), fixed for the lifetime of the tree; level i
         # holds 2^i servers, so the same array is floor(log2(r)) for ranks r = 1..n; int8,
         # as every tree keeps its own copy and no depth reaches 127
@@ -139,23 +131,13 @@ class TreeState:
 
     @property
     def guest(self) -> np.ndarray:
-        """guest[s], the item at server s; rebinding checks the array and rebuilds _gv."""
+        """guest[s], the item at server s."""
         return self._guest
-
-    @guest.setter
-    def guest(self, a):
-        a = _permutation(a, self.n, "guest")
-        self._guest, self._gv = a, _int64_view(a)
 
     @property
     def host(self) -> np.ndarray:
-        """host[v], the server of item v; rebinding checks the array and rebuilds _hv."""
+        """host[v], the server of item v."""
         return self._host
-
-    @host.setter
-    def host(self, a):
-        a = _permutation(a, self.n, "host")
-        self._host, self._hv = a, _int64_view(a)
 
 
 def routing_header(t: TreeState, v) -> str:

@@ -27,59 +27,52 @@ class RankTable:
     0..n-1 in recency order, O(n) once every n//4 + 1 records.
 
     Before any access, RankTable(n) ranks item i as i + 1, from_tree ranks
-    the item at server i as i + 1, and given stamps, which must be
-    distinct, keep their order.  So a fresh identity layout is an MRU tree
-    and every argmax over ranks is tie-free.  Stamps are given to the
-    constructor or by rebinding rt.stamps, and either way rebuild the table.
-    The stamps stay an int64 numpy array for vector work; rank and record
-    read and store them through _sv, an int64 memoryview over the same
-    buffer, which every binding of the array rebuilds.
+    the item at server i as i + 1, and stamps given to the constructor,
+    which must be distinct, keep their order.  So a fresh identity layout
+    is an MRU tree and every argmax over ranks is tie-free.  The stamps
+    array is the table's for its lifetime; rank and record read and store
+    it through _sv, an int64 memoryview over its buffer, and rt.stamps is
+    a read-only view of it, since a write from outside would bypass the
+    Fenwick tree, the slot map and the boundaries below.
 
-    The item of a given rank is a Fenwick descent to its slot plus a
-    slot -> item map (int32, one entry per slot).  Only max-push reads it,
-    so the map is allocated by _map_slots on first use; from then on each
-    record stores one entry and each renumbering rewrites it.  Alongside
-    the map the table keeps _bnd[j], the item of rank 2^(j+1) - 1, for
-    every level j: the least recent item of level j in an MRU tree.  A
-    record of an item of rank r adds one to every rank below r, so each
-    boundary of rank at most r steps to the next live slot of the map;
-    a boundary only ever moves to newer slots, so each dead slot is
-    skipped at most once per boundary between renumberings, amortised
-    O(1) per level and record.  Writing into the stamps array in place
-    bypasses the Fenwick tree, the map and the boundaries and leaves the
-    table inconsistent.
+    Max-push also needs the item of some ranks, so a table it uses keeps a
+    slot -> item map (int32, one entry per slot), allocated by _map_slots
+    on first use; from then on each record stores one entry and each
+    renumbering rewrites it.  Alongside the map the table keeps _bnd[j],
+    the item of rank 2^(j+1) - 1, for every level j: the least recent item
+    of level j in an MRU tree.  A record of an item of rank r adds one to
+    every rank below r, so each boundary of rank at most r steps to the
+    next live slot of the map; a boundary only ever moves to newer slots,
+    so each dead slot is skipped at most once per boundary between
+    renumberings, amortised O(1) per level and record.
     """
 
     def __init__(self, n, stamps=None):
-        self.n = int(n)
+        self.n = _exact_int(n, "item count")
+        if self.n < 1:
+            raise ValueError(f"item count must be at least 1, got {n}")
         self._size = self.n + self.n // 4 + 1
         self._item = None  # the slot -> item map, allocated by _map_slots
         self._bnd = None  # _bnd[j], the item of rank 2^(j+1) - 1, kept with the map
         if stamps is None:
-            self._bind(np.arange(self.n - 1, -1, -1, dtype=np.int64))
+            self._stamps = np.arange(self.n - 1, -1, -1, dtype=np.int64)
             self._reset_fenwick()
         else:
-            self.stamps = stamps
+            self._stamps = np.array(stamps, dtype=np.int64)
+            if self._stamps.shape != (self.n,):
+                raise ValueError(f"need one stamp per item, got shape {self._stamps.shape} for n={self.n}")
+            # the Fenwick tree and the MRU predicate both rely on distinct stamps
+            if len(np.unique(self._stamps)) != self.n:
+                raise ValueError("stamps must be distinct")
+            self._renumber()
+        self._sv = _int64_view(self._stamps)
+        self._ro_stamps = self._stamps.view()
+        self._ro_stamps.flags.writeable = False
 
     @property
     def stamps(self) -> np.ndarray:
-        """stamps[v], the slot of item v's last access; rebinding checks a copy and renumbers it."""
-        return self._stamps
-
-    @stamps.setter
-    def stamps(self, stamps):
-        stamps = np.array(stamps, dtype=np.int64)
-        if stamps.shape != (self.n,):
-            raise ValueError(f"need one stamp per item, got shape {stamps.shape} for n={self.n}")
-        # the Fenwick tree and the MRU predicate both rely on distinct stamps
-        if len(np.unique(stamps)) != self.n:
-            raise ValueError("stamps must be distinct")
-        self._bind(stamps)
-        self._renumber()
-
-    def _bind(self, stamps):
-        """Hold a C-contiguous int64 stamps array and an int64 memoryview over its buffer."""
-        self._stamps, self._sv = stamps, _int64_view(stamps)
+        """stamps[v], the slot of item v's last access, as a read-only view."""
+        return self._ro_stamps
 
     @classmethod
     def from_tree(cls, t: TreeState):
@@ -100,8 +93,13 @@ class RankTable:
         """Allocate the slot -> item map if there is none; fill it and the level boundaries from the stamps."""
         if self._item is None:
             self._item = memoryview(bytearray(4 * self._size)).cast("i")
-        np.frombuffer(self._item, dtype=np.int32)[self._stamps] = np.arange(self.n, dtype=np.int32)
-        self._bnd = [self._item_of_rank((2 << j) - 1) for j in range(self.n.bit_length())]
+        item = np.frombuffer(self._item, dtype=np.int32)
+        item[self._stamps] = np.arange(self.n, dtype=np.int32)
+        live = np.zeros(self._size, dtype=bool)
+        live[self._stamps] = True
+        # the live slots from least to most recent: the item of rank r is item[slots[n - r]]
+        slots = np.flatnonzero(live)
+        self._bnd = item[slots[self.n + 1 - (2 << np.arange(self.n.bit_length()))]].tolist()
 
     def _reset_fenwick(self):
         """Fenwick tree (int32 counts, indexed from 1) with slots 0..n-1 live; the clock at n."""
@@ -119,22 +117,6 @@ class RankTable:
             older += fen[i]
             i &= i - 1
         return self.n - older + 1
-
-    def _item_of_rank(self, r) -> int:
-        """The item of rank r in 1..n, by a Fenwick descent; needs the slot map.
-
-        The item sits at the (n - r + 1)-th live slot: the descent finds the
-        last slot whose prefix count stays below that, and it is the next one.
-        """
-        fen, size, slot, left = self._fen, self._size, 0, self.n - r + 1
-        step = 1 << (size.bit_length() - 1)
-        while step:
-            i = slot + step
-            if i <= size and fen[i] < left:
-                slot = i
-                left -= fen[i]
-            step >>= 1
-        return self._item[slot]
 
     def _touch(self, v, r):
         """Move item v, of rank r, to the clock slot, the most recent one."""

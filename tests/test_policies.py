@@ -241,11 +241,11 @@ def test_max_push_depth_one_exchange():
 def test_max_push_worst_layout_quadratic_hops():
     # max-rank items of levels 1 and 2 placed off the requested branch
     p = Policy("max-push", 15)
-    t, rt = p.tree, p.ranks
-    stamps = rt.stamps.copy()
+    t = p.tree
+    stamps = p.ranks.stamps.copy()
     stamps[1], stamps[2] = stamps[2], stamps[1]  # level 1 max rank now at server 1
     stamps[3], stamps[6] = stamps[6], stamps[3]  # level 2 max rank now at server 3
-    rt.stamps = stamps
+    p.ranks = rt = RankTable(15, stamps=stamps)
     assert is_mru(t, rt)
     a, j, _, _ = p.serve(14)  # max-rank leaf, k = 3
     assert a == 3
@@ -367,26 +367,17 @@ def test_max_push_matches_level_minima_rule(d, seed, data):
 
 
 def non_mru_rebinding(p, what):
-    """Rebind max-push's tree, rank table, guest and host arrays or stamps to a state that is not MRU."""
-    t, rt = p.tree, p.ranks
-    root, leaf = int(t.guest[0]), int(t.guest[-1])
+    """Rebind max-push's tree or rank table to a state that is not MRU."""
+    t = p.tree
     if what == "tree":
         guests = t.guest.copy()
-        guests[0], guests[-1] = leaf, root
+        guests[0], guests[-1] = guests[-1], guests[0]
         p.tree = TreeState(t.n, guests=guests)
-    elif what == "ranks":
-        p.ranks = RankTable(t.n, stamps=np.arange(t.n))  # item 0 the least recent, at the root
-    elif what == "guest-host":
-        guests = t.guest.copy()
-        guests[0], guests[-1] = leaf, root
-        t.guest, t.host = guests, np.argsort(guests)
     else:
-        stamps = rt.stamps.copy()
-        stamps[root], stamps[leaf] = stamps[leaf], stamps[root]
-        rt.stamps = stamps
+        p.ranks = RankTable(t.n, stamps=np.arange(t.n))  # item 0 the least recent, at the root
 
 
-@pytest.mark.parametrize("what", ["tree", "ranks", "guest-host", "stamps"])
+@pytest.mark.parametrize("what", ["tree", "ranks"])
 def test_max_push_rejects_a_non_mru_rebinding_every_time(what):
     p = Policy("max-push", 15)
     for v in (9, 3, 14, 0, 9):
@@ -624,6 +615,26 @@ def test_max_push_after_a_record_outside_serve_serves_as_fresh_or_rejects(n, dat
         assert p.tree.guest.tolist() == fresh.tree.guest.tolist()
         assert rank_order(p.ranks).tolist() == rank_order(fresh.ranks).tolist()
         assert p.ranks._bnd == fresh.ranks._bnd
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 7, 15, 255]), data=st.data())
+def test_max_push_rebound_to_a_copy_of_its_own_layout_serves_as_fresh(n, data):
+    # the rebinding re-runs the full MRU check and re-seeds the table's level boundaries
+    # mid-window, with dead slots and stale map entries left behind by the served requests
+    items = st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * (n // 4 + 1))
+    p = Policy("max-push", n)
+    for v in data.draw(items):
+        p.serve(v)
+    p.tree = TreeState(n, guests=p.tree.guest)
+    fresh = Policy("max-push", n)
+    fresh.tree = TreeState(n, guests=p.tree.guest)
+    fresh.ranks = RankTable(n, stamps=p.ranks.stamps)
+    for u in data.draw(items):
+        assert p.serve(u) == fresh.serve(u)
+    assert p.tree.guest.tolist() == fresh.tree.guest.tolist()
+    assert rank_order(p.ranks).tolist() == rank_order(fresh.ranks).tolist()
+    assert p.ranks._bnd == fresh.ranks._bnd
 
 
 INVALID = st.sampled_from([3.7, -1, 15, 99, "3", None, 2.0])

@@ -190,20 +190,21 @@ def test_check_bijection_raises_on_broken_state():
         check_bijection(t)
 
 
-def test_rebinding_guest_and_host_rebuilds_their_views():
-    t = TreeState(15)
+def test_guest_and_host_are_fixed_for_the_trees_lifetime():
     guests = np.random.default_rng(5).permutation(15).astype(np.int64)
-    hosts = np.argsort(guests)
-    t.guest, t.host = guests, hosts
-    assert t.guest is guests and t.host is hosts  # C-contiguous int64 arrays are kept as given
-    assert list(t._gv) == guests.tolist() and list(t._hv) == hosts.tolist()
+    t = TreeState(15, guests=guests)
+    guest, host = t.guest, t.host
+    for what in ("guest", "host"):
+        with pytest.raises(AttributeError):
+            setattr(t, what, np.arange(15))
+    assert t.guest is guest and t.host is host and guest is not guests  # the tree keeps a copy
+    assert list(t._gv) == guests.tolist() and list(t._hv) == np.argsort(guests).tolist()
     check_bijection(t)
-    for v in range(15):
-        assert header_server(routing_header(t, v)) == int(hosts[v])
-    a, b = int(hosts[0]), int(hosts[1])
+    a, b = int(host[0]), int(host[1])
     assert interchange(t, 0, 1) == 2 * tree_distance(a, b) - 1
-    # interchange stores through the views, into the rebound arrays
-    assert (int(guests[a]), int(guests[b]), int(hosts[0]), int(hosts[1])) == (1, 0, b, a)
+    # interchange stores through the views, into the tree's own arrays
+    assert (int(guest[a]), int(guest[b]), int(host[0]), int(host[1])) == (1, 0, b, a)
+    assert guests[a] == 0  # and never into the caller's
 
 
 def test_views_see_in_place_numpy_writes():
@@ -214,31 +215,41 @@ def test_views_see_in_place_numpy_writes():
     assert routing_header(t, 0) == "11" and routing_header(t, 6) == ""
 
 
-@pytest.mark.parametrize("what", ["guest", "host"])
-def test_rebinding_copies_other_integer_arrays_to_contiguous_int64(what):
-    t = TreeState(15)
+def test_constructor_copies_other_integer_arrays_to_contiguous_int64():
     strided = np.repeat(np.arange(15), 2)[::2]
     read_only = np.arange(15)
     read_only.flags.writeable = False
-    for a in (np.arange(15, dtype=np.int32), np.arange(15, dtype=np.uint8), strided, read_only):
-        setattr(t, what, a)
-        got = getattr(t, what)
-        assert got is not a and got.dtype == np.int64 and got.flags.c_contiguous and got.flags.writeable
-        assert got.tolist() == a.tolist()
-        assert list(getattr(t, f"_{what[0]}v")) == a.tolist()
+    for a in (np.arange(15, dtype=np.int32), np.arange(15, dtype=np.uint8), strided, read_only,
+              np.arange(15, dtype=np.int64), list(range(15))):
+        t = TreeState(15, guests=a)
+        for got, view in ((t.guest, t._gv), (t.host, t._hv)):
+            assert got is not a and got.dtype == np.int64 and got.flags.c_contiguous and got.flags.writeable
+            assert got.tolist() == list(view) == list(range(15))
 
 
-@pytest.mark.parametrize("what", ["guest", "host"])
-def test_refused_rebinding_keeps_the_old_array_and_view(what):
-    t = TreeState(7)
-    old, old_view = getattr(t, what), getattr(t, f"_{what[0]}v")
+def test_constructor_refuses_a_non_permutation():
     for bad in (np.arange(7.0), np.arange(7) == 0, np.arange(6), np.arange(14).reshape(2, 7),
                 [0, 0, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5, 7], [-1, 1, 2, 3, 4, 5, 6],
                 np.array([2**63, 1, 2, 3, 4, 5, 6], dtype=np.uint64)):
         with pytest.raises(ValueError, match="integer permutation"):
-            setattr(t, what, bad)
-        assert getattr(t, what) is old and getattr(t, f"_{what[0]}v") is old_view
-    assert old.tolist() == list(old_view) == list(range(7))
+            TreeState(7, guests=bad)
+
+
+def test_item_count_is_an_exact_integer_of_the_form_2_pow_d_minus_1():
+    for bad in (7.0, 7.9, "7", None, True, np.True_):
+        with pytest.raises(ValueError, match="item count must be an integer"):
+            TreeState(bad)
+    for bad in (0, 2, 6, 8):
+        with pytest.raises(ValueError, match=r"2\^d - 1"):
+            TreeState(bad)
+    with pytest.raises(ValueError, match="item count -3 out of range"):
+        TreeState(-3)
+    for kind, freq in (("fixed", None), ("static-mfu", [1.0])):
+        with pytest.raises(ValueError, match="item count must be an integer"):
+            Policy(kind, np.True_, freq=freq)
+    for n in (1, 7, np.int64(7), np.uint8(15)):
+        t = TreeState(n)
+        assert type(t.n) is int and t.n == n and t.guest.tolist() == list(range(n))
 
 
 def test_interchange_common_branch():

@@ -215,24 +215,33 @@ def test_views_see_in_place_numpy_writes():
     assert routing_header(t, 0) == "11" and routing_header(t, 6) == ""
 
 
-def test_constructor_copies_other_integer_arrays_to_contiguous_int64():
+@pytest.mark.parametrize("what", ["guest", "host"])
+def test_rebinding_copies_other_integer_arrays_to_contiguous_int64(what):
+    # a layout is rebound by building a new tree, whose constructor makes the copy
     strided = np.repeat(np.arange(15), 2)[::2]
     read_only = np.arange(15)
     read_only.flags.writeable = False
     for a in (np.arange(15, dtype=np.int32), np.arange(15, dtype=np.uint8), strided, read_only,
               np.arange(15, dtype=np.int64), list(range(15))):
         t = TreeState(15, guests=a)
-        for got, view in ((t.guest, t._gv), (t.host, t._hv)):
-            assert got is not a and got.dtype == np.int64 and got.flags.c_contiguous and got.flags.writeable
-            assert got.tolist() == list(view) == list(range(15))
+        got, view = getattr(t, what), getattr(t, f"_{what[0]}v")
+        assert got is not a and got.dtype == np.int64 and got.flags.c_contiguous and got.flags.writeable
+        assert got.tolist() == list(view) == list(range(15))
 
 
-def test_constructor_refuses_a_non_permutation():
+@pytest.mark.parametrize("what", ["guest", "host"])
+def test_refused_rebinding_keeps_the_old_array_and_view(what):
+    t = TreeState(7)
+    old, old_view = getattr(t, what), getattr(t, f"_{what[0]}v")
     for bad in (np.arange(7.0), np.arange(7) == 0, np.arange(6), np.arange(14).reshape(2, 7),
                 [0, 0, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5, 7], [-1, 1, 2, 3, 4, 5, 6],
                 np.array([2**63, 1, 2, 3, 4, 5, 6], dtype=np.uint64)):
         with pytest.raises(ValueError, match="integer permutation"):
             TreeState(7, guests=bad)
+        with pytest.raises(AttributeError):
+            setattr(t, what, bad)
+        assert getattr(t, what) is old and getattr(t, f"_{what[0]}v") is old_view
+    assert old.tolist() == list(old_view) == list(range(7))
 
 
 def test_item_count_is_an_exact_integer_of_the_form_2_pow_d_minus_1():

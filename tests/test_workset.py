@@ -183,6 +183,18 @@ def test_stamps_are_read_only():
     assert rt.rank(0) == 1 and rt.stamps[0] == rt.clock - 1
 
 
+def test_rebinding_bad_stamps_leaves_the_table_unchanged():
+    rt = RankTable(7)
+    record(rt, 4)
+    before = (rt.stamps.tolist(), rt.clock, [rt.rank(v) for v in range(7)])
+    for bad, message in (([0, 1, 2, 3, 4, 5, 5], "distinct"), ([0, 1, 2], "one stamp per item")):
+        with pytest.raises(ValueError, match=message):
+            RankTable(7, stamps=bad)
+        with pytest.raises(AttributeError):
+            rt.stamps = bad
+        assert (rt.stamps.tolist(), rt.clock, [rt.rank(v) for v in range(7)]) == before
+
+
 def test_item_count_is_an_exact_positive_integer():
     for bad in (7.0, 7.9, "7", None, True, np.True_):
         with pytest.raises(ValueError, match="item count must be an integer"):

@@ -161,6 +161,8 @@ class Policy:
         if kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {kind!r}")
         self.kind = kind
+        self._adjust = _ADJUST[kind]
+        self._factor = _COST_FACTOR.get(kind)
         if kind == "static-mfu":
             if freq is None:
                 raise ValueError("static-mfu needs an item frequency vector")
@@ -201,8 +203,8 @@ class Policy:
         u = _exact_int(u, "item id", self.tree.n)
         k = (self.tree._hv[u] + 1).bit_length() - 1  # u's depth; the tree's own server id needs no check
         r = self.ranks.rank(u)  # ranks do not depend on the tree, so the adjustment leaves r as is
-        adjust, path = _ADJUST[self.kind](self, u, k, r)
-        factor = _COST_FACTOR.get(self.kind)
+        adjust, path = self._adjust(self, u, k, r)
+        factor = self._factor
         if factor is not None and k + adjust > factor * k:
             raise RuntimeError(f"{self.kind} request for item {u} cost {k + adjust}, "
                                f"above {factor}x its access {k}")

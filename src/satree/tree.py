@@ -19,21 +19,23 @@ def _exact_int(x, what, n=None) -> int:
     """x as a Python int, for an exact integer in 0..n-1, or any x >= 0 when n is None.
 
     bool and numpy.bool_ are refused, although Python counts bool as an int;
-    ValueError for anything refused.  Two identity tests on the type cost
-    less per call than an isinstance; they miss only subclasses of
-    numpy.bool_, which numpy itself never makes (bool has none).
+    ValueError for anything refused.  A plain int, what the memoryviews hand
+    out, goes straight to the range test; any other type is tested for the
+    two bools by identity, which costs less per call than an isinstance and
+    misses only subclasses of numpy.bool_ (numpy itself makes none, bool has
+    none), and then converted by operator.index.
     """
     cls = type(x)
-    if cls is not bool and cls is not _NP_BOOL:
+    if cls is not int:
         try:
+            if cls is bool or cls is _NP_BOOL:
+                raise TypeError
             x = operator.index(x)
         except TypeError:
-            pass
-        else:
-            if x >= 0 and (n is None or x < n):
-                return x
-            raise ValueError(f"{what} {x} out of range")
-    raise ValueError(f"{what} must be an integer, got {x!r}")
+            raise ValueError(f"{what} must be an integer, got {x!r}") from None
+    if x >= 0 and (n is None or x < n):
+        return x
+    raise ValueError(f"{what} {x} out of range")
 
 
 def depth(s) -> int:

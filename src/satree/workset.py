@@ -28,8 +28,8 @@ class RankTable:
 
     Before any access, RankTable(n) ranks item i as i + 1, from_tree ranks
     the item at server i as i + 1, and stamps given to the constructor,
-    which must be distinct, keep their order.  So a fresh identity layout
-    is an MRU tree and every argmax over ranks is tie-free.  The stamps
+    which must be distinct integers, keep their order.  So a fresh identity
+    layout is an MRU tree and every argmax over ranks is tie-free.  The stamps
     array is the table's for its lifetime; rank and record read and store
     it through _sv, an int64 memoryview over its buffer, and rt.stamps is
     a read-only view of it, since a write from outside would bypass the
@@ -58,6 +58,10 @@ class RankTable:
             self._stamps = np.arange(self.n - 1, -1, -1, dtype=np.int64)
             self._reset_fenwick()
         else:
+            stamps = np.asarray(stamps)
+            # a float or bool stamp would be truncated by the int64 copy, not refused
+            if stamps.dtype.kind not in "iu":
+                raise ValueError(f"stamps must be integers, got dtype {stamps.dtype}")
             self._stamps = np.array(stamps, dtype=np.int64)
             if self._stamps.shape != (self.n,):
                 raise ValueError(f"need one stamp per item, got shape {self._stamps.shape} for n={self.n}")
@@ -170,10 +174,14 @@ def record(rt: RankTable, v) -> int:
 
 
 def max_rank_item_at_depth(rt: RankTable, t: TreeState, lvl) -> int:
-    """The least recently used item among those hosted at the given depth."""
-    lo = (1 << lvl) - 1
-    guests = t.guest[lo:2 * lo + 1]
-    return int(guests[np.argmin(rt.stamps[guests])])
+    """The least recently used item among those hosted at the given depth.
+
+    One gather of the level's stamps and the ndarray.argmin method, on the
+    private arrays: the public properties and np.argmin's dispatch wrapper
+    cost more per call than the scan itself on levels of a few items.
+    """
+    lo = (1 << _exact_int(lvl, "depth", t.num_levels)) - 1
+    return t._gv[lo + int(rt._stamps[t._guest[lo:2 * lo + 1]].argmin())]
 
 
 def _level_minima(t: TreeState, st) -> tuple[np.ndarray, bool]:

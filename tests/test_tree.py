@@ -1,6 +1,7 @@
 """Tree-state primitives: geometry, routing, swap costs, interchange."""
 
 import collections
+import enum
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from satree import (
     routing_header,
     tree_distance,
 )
-from satree.tree import parent
+from satree.tree import _exact_int, parent
 
 
 def bfs_distance(n, a, b):
@@ -124,6 +125,33 @@ def test_parent_refuses_negative_servers_and_the_root():
 
 # Python's bool is an int subclass, but no id: bools are refused like the rest
 NOT_INTEGERS = (1.9, 2.5, 2.0, np.float64(3.0), "3", None, True, np.True_)
+
+
+class Three(enum.IntEnum):
+    THREE = 3
+
+
+@pytest.mark.parametrize("x, n, expected", [
+    # plain ints, which skip the type tests, and the other integer types, which do not
+    (3, None, 3), (3, 4, 3), (3, 3, "id 3 out of range"), (7, None, 7), (-1, None, "id -1 out of range"),
+    (Three.THREE, None, 3), (Three.THREE, 4, 3), (Three.THREE, 3, "id 3 out of range"),
+    (np.int64(3), 4, 3), (np.int64(3), 3, "id 3 out of range"), (np.int64(-1), None, "id -1 out of range"),
+    (np.uint8(3), None, 3), (np.uint8(255), None, 255), (np.uint8(255), 4, "id 255 out of range"),
+    # refused whatever the bound, with the value's repr
+    (True, None, "id must be an integer, got True"), (False, 4, "id must be an integer, got False"),
+    (np.True_, None, f"id must be an integer, got {np.True_!r}"),
+    (np.False_, 4, f"id must be an integer, got {np.False_!r}"),
+    (3.0, None, "id must be an integer, got 3.0"), (3.0, 4, "id must be an integer, got 3.0"),
+    ("3", 4, "id must be an integer, got '3'"), (None, None, "id must be an integer, got None"),
+])
+def test_exact_int_accepts_integers_in_range_and_refuses_the_rest(x, n, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as err:
+            _exact_int(x, "id", n)
+        assert str(err.value) == expected
+    else:
+        got = _exact_int(x, "id", n)
+        assert type(got) is int and got == expected
 
 
 @pytest.mark.parametrize("bad", NOT_INTEGERS)

@@ -153,6 +153,17 @@ def test_stamps_must_be_distinct():
     assert ranks(rt).tolist() == [1, 3, 2]
 
 
+def test_stamps_must_be_integers():
+    # an int64 copy would truncate these: [1.9, 0.1, 2.5] to the distinct [1, 0, 2] and
+    # [0.9, 0.1, 2.5] to [0, 0, 2], whose stamps are distinct before truncation
+    for bad in ([1.9, 0.1, 2.5], [0.9, 0.1, 2.5], np.array([2.0, 0.0, 1.0]), [True, False, True],
+                np.array([True, False, True])):
+        with pytest.raises(ValueError, match="stamps must be integers"):
+            RankTable(3, stamps=bad)
+    for good in (np.array([2, 0, 1], dtype=np.uint8), np.array([2, 0, 1], dtype=np.int16)):
+        assert ranks(RankTable(3, stamps=good)).tolist() == [1, 3, 2]
+
+
 @pytest.mark.parametrize("restamp", [lambda s: s + 1, lambda s: s * 3, lambda s: -s],
                          ids=["shifted", "scaled", "reversed"])
 def test_given_stamps_build_the_table_in_their_order(restamp):
@@ -256,3 +267,43 @@ def test_max_rank_item_at_depth_picks_least_recent():
     assert max_rank_item_at_depth(rt, t, 2) == 6
     record(rt, 6)  # item 6 becomes most recent; item 5 is now level 2's max rank
     assert max_rank_item_at_depth(rt, t, 2) == 5
+
+
+@pytest.mark.parametrize("lvl, message", [
+    (-1, "depth -1 out of range"), (3, "depth 3 out of range"),
+    (2.0, "depth must be an integer, got 2.0"), (True, "depth must be an integer, got True"),
+])
+def test_max_rank_item_at_depth_refuses_a_level_off_the_tree(lvl, message):
+    t = TreeState(7)
+    rt = RankTable.from_tree(t)
+    with pytest.raises(ValueError, match=message):
+        max_rank_item_at_depth(rt, t, lvl)
+    assert max_rank_item_at_depth(rt, t, np.int64(2)) == 6
+
+
+@pytest.mark.parametrize("n", [1, 3, 255, 16383])
+def test_max_rank_item_at_depth_matches_an_argmin_over_each_level(n):
+    # random layouts and stamps, checked at every level before and after records that
+    # renumber the table at least once
+    rng = np.random.default_rng(n)
+    t = TreeState(n, guests=rng.permutation(n))
+    rt = RankTable(n, stamps=rng.permutation(3 * n)[:n])
+
+    def check():
+        for lvl in range(t.num_levels):
+            level = t.guest[(1 << lvl) - 1:(2 << lvl) - 1]
+            expected = int(level[np.argmin(rt.stamps[level])])
+            got = max_rank_item_at_depth(rt, t, lvl)
+            assert type(got) is int and got == expected
+
+    check()
+    records = 2 * (n // 4 + 1) + 3
+    for v in rng.integers(0, n, size=records):
+        record(rt, int(v))
+    assert rt.clock < n + records  # the clock went back to n at least once
+    check()
+    for v in rng.integers(0, n, size=n // 8 + 1):
+        record(rt, int(v))
+        if v % 7 == 0:
+            check()
+    check()

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .tree import CostLedger, TreeState, _exact_int, interchange, is_complete_size, tree_distance
-from .workset import RankTable, WsAccumulator, is_mru, max_rank_item_at_depth
+from .workset import RankTable, WsAccumulator, max_rank_item_at_depth
 
 POLICY_KINDS = ("move-half", "random-push", "max-push", "static-mfu", "fixed")
 # the paper's per-request cost bounds, as multiples of the request's access cost
@@ -51,10 +51,10 @@ def _move_half(p, u, k, r):
     """Interchange u with the max-rank item at depth k//2."""
     if k == 0:
         return 0, None
-    v = max_rank_item_at_depth(p.ranks, p.tree, k // 2)
+    v = max_rank_item_at_depth(p._ranks, p._tree, k // 2)
     if v == u:
         raise RuntimeError(f"move-half chose the requested item {u} as its partner")
-    return interchange(p.tree, u, v), None
+    return interchange(p._tree, u, v), None
 
 
 def _push_down(t, u, chain):
@@ -81,7 +81,7 @@ def _random_push(p, u, k, r):
     """
     if k == 0:
         return 0, None
-    t = p.tree
+    t = p._tree
     s = t._hv[u]
     words = p._push_words
     if not words:
@@ -106,23 +106,17 @@ def _max_push(p, u, k, r):
     demoted from level j is the one of rank 2^(j+1)-1, which the rank
     table keeps for every level (RankTable._bnd): a request costs O(log n)
     rank upkeep plus O(k), and the table's boundary steps skip amortised
-    O(1) dead slots per level.  The full O(n) MRU check runs once per
-    binding, on the first request and on the next one after p.tree or
-    p.ranks is rebound; a check that passes seeds the table's boundaries.
-    Every request checks that u and the items it demotes sit at their MRU
-    depths, which also makes the chain one server per level and keeps u's
-    server out of it.  An in-place change made outside serve that leaves
-    other parts of the tree out of MRU order is not caught here;
-    bench.run(check_mru=True) checks the whole tree after every request.
-    Each relocation may cross the whole tree, so the cost grows like k^2/2.
-    Raises ValueError, before anything moves, when a check fails.
+    O(1) dead slots per level.  The policy's fresh tree is MRU, so no
+    whole-tree check runs here.  Every request checks that u and the items
+    it demotes sit at their MRU depths, which also makes the chain one
+    server per level and keeps u's server out of it.  An in-place change
+    made outside serve that leaves other parts of the tree out of MRU order
+    is not caught here; bench.run(check_mru=True) checks the whole tree
+    after every request.  Each relocation may cross the whole tree, so the
+    cost grows like k^2/2.  Raises ValueError, before anything moves, when
+    a check fails.
     """
-    t, rt = p.tree, p.ranks
-    if t is not p._mru_tree or rt is not p._mru_ranks:
-        if not is_mru(t, rt):
-            raise ValueError("max-push requires an MRU tree")
-        rt._map_slots()
-        p._mru_tree, p._mru_ranks = t, rt
+    t, rt = p._tree, p._ranks
     # depth j holds the servers s with j + 1 bits in s + 1, and in an MRU tree the ranks with j + 1 bits
     if r.bit_length() != k + 1:
         raise ValueError("max-push requires an MRU tree")
@@ -155,7 +149,10 @@ _ADJUST = {"move-half": _move_half, "random-push": _random_push, "max-push": _ma
 
 
 class Policy:
-    """One policy instance bound to its own tree, rank table and ledger."""
+    """One policy instance bound to its own tree, rank table and ledger.
+
+    The constructor builds the tree and the table, in MRU order; neither can be rebound.
+    """
 
     def __init__(self, kind, n, seed=None, freq=None):
         if kind not in POLICY_KINDS:
@@ -166,12 +163,14 @@ class Policy:
         if kind == "static-mfu":
             if freq is None:
                 raise ValueError("static-mfu needs an item frequency vector")
-            self.tree = build_static_mfu(freq)
-            if self.tree.n != _exact_int(n, "item count"):
+            self._tree = build_static_mfu(freq)
+            if self._tree.n != _exact_int(n, "item count"):
                 raise ValueError("frequency vector length does not match n")
         else:
-            self.tree = TreeState(n)
-        self.ranks = RankTable.from_tree(self.tree)
+            self._tree = TreeState(n)
+        self._ranks = RankTable.from_tree(self._tree)
+        if kind == "max-push":
+            self._ranks._map_slots()
         self.ledger = CostLedger()
         self.ws = WsAccumulator()
         self.rng = None
@@ -182,8 +181,16 @@ class Policy:
             self.rng = np.random.default_rng(seq)
             self._push_bits = np.random.PCG64(seq.spawn(1)[0])
             self._push_words = []
-        # max-push: the tree and rank table its last full MRU check passed on
-        self._mru_tree = self._mru_ranks = None
+
+    @property
+    def tree(self) -> TreeState:
+        """The policy's tree."""
+        return self._tree
+
+    @property
+    def ranks(self) -> RankTable:
+        """The policy's rank table."""
+        return self._ranks
 
     def serve(self, u):
         """Serve one request for item u; returns (access, adjust, rank, path).
@@ -194,21 +201,20 @@ class Policy:
         root).  This is the only place that charges the ledger and the
         working-set total.  A rejected request raises ValueError and
         changes nothing: an item that is not an integer in 0..n-1, or, for
-        max-push, a tree that fails the full MRU check (on the first
-        request and after p.tree or p.ranks is rebound) or has u or an
-        item it would demote off its MRU depth.
+        max-push, a tree with u or an item it would demote off its MRU
+        depth.
         A request over its kind's cost bound raises RuntimeError with the
         tree moved but nothing charged.
         """
-        u = _exact_int(u, "item id", self.tree.n)
-        k = (self.tree._hv[u] + 1).bit_length() - 1  # u's depth; the tree's own server id needs no check
-        r = self.ranks.rank(u)  # ranks do not depend on the tree, so the adjustment leaves r as is
+        u = _exact_int(u, "item id", self._tree.n)
+        k = (self._tree._hv[u] + 1).bit_length() - 1  # u's depth; the tree's own server id needs no check
+        r = self._ranks.rank(u)  # ranks do not depend on the tree, so the adjustment leaves r as is
         adjust, path = self._adjust(self, u, k, r)
         factor = self._factor
         if factor is not None and k + adjust > factor * k:
             raise RuntimeError(f"{self.kind} request for item {u} cost {k + adjust}, "
                                f"above {factor}x its access {k}")
-        self.ranks._touch(u, r)
+        self._ranks._touch(u, r)
         self.ledger.access_total += k
         self.ledger.adjust_total += adjust
         self.ws.total += math.log2(r)

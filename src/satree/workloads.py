@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tree import _exact_int
+
 WORKLOAD_KINDS = ("uniform", "zipf", "cyclic", "trace")
 
 
@@ -23,6 +25,9 @@ class WorkloadSpec:
     def __post_init__(self):
         if self.kind not in WORKLOAD_KINDS:
             raise ValueError(f"unknown workload kind {self.kind!r}")
+        if _exact_int(self.n, "item count") < 1:
+            raise ValueError(f"item count must be at least 1, got {self.n}")
+        _exact_int(self.seed, "seed")
         if self.m < 0:
             raise ValueError("request count must be >= 0")
         if self.kind == "zipf":

@@ -26,19 +26,18 @@ class RankTable:
     the clock reaches the end of the window the stamps are renumbered
     0..n-1 in recency order, O(n) once every n//4 + 1 records.
 
-    Before any access, RankTable(n) ranks item i as i + 1, from_tree ranks
-    the item at server i as i + 1, and stamps given to the constructor,
-    which must be distinct integers, keep their order.  So a fresh identity
-    layout is an MRU tree and every argmax over ranks is tie-free.  The stamps
-    array is the table's for its lifetime; rank and record read and store
-    it through _sv, an int64 memoryview over its buffer, and rt.stamps is
-    a read-only view of it, since a write from outside would bypass the
-    Fenwick tree, the slot map and the boundaries below.
+    Before any access, RankTable(n) ranks item i as i + 1 and from_tree
+    ranks the item at server i as i + 1, both with stamps 0..n-1.  So a
+    fresh layout is an MRU tree and every argmax over ranks is tie-free.
+    The stamps array is the table's for its lifetime; rank and record read
+    and store it through _sv, an int64 memoryview over its buffer, and
+    rt.stamps is a read-only view of it, since a write from outside would
+    bypass the Fenwick tree, the slot map and the boundaries below.
 
     Max-push also needs the item of some ranks, so a table it uses keeps a
     slot -> item map (int32, one entry per slot), allocated by _map_slots
-    on first use; from then on each record stores one entry and each
-    renumbering rewrites it.  Alongside the map the table keeps _bnd[j],
+    while the table is fresh; from then on each record stores one entry
+    and each renumbering rewrites it.  Alongside the map the table keeps _bnd[j],
     the item of rank 2^(j+1) - 1, for every level j: the least recent item
     of level j in an MRU tree.  A record of an item of rank r adds one to
     every rank below r, so each boundary of rank at most r steps to the
@@ -47,28 +46,15 @@ class RankTable:
     renumberings, amortised O(1) per level and record.
     """
 
-    def __init__(self, n, stamps=None):
+    def __init__(self, n):
         self.n = _exact_int(n, "item count")
         if self.n < 1:
             raise ValueError(f"item count must be at least 1, got {n}")
         self._size = self.n + self.n // 4 + 1
         self._item = None  # the slot -> item map, allocated by _map_slots
         self._bnd = None  # _bnd[j], the item of rank 2^(j+1) - 1, kept with the map
-        if stamps is None:
-            self._stamps = np.arange(self.n - 1, -1, -1, dtype=np.int64)
-            self._reset_fenwick()
-        else:
-            stamps = np.asarray(stamps)
-            # a float or bool stamp would be truncated by the int64 copy, not refused
-            if stamps.dtype.kind not in "iu":
-                raise ValueError(f"stamps must be integers, got dtype {stamps.dtype}")
-            self._stamps = np.array(stamps, dtype=np.int64)
-            if self._stamps.shape != (self.n,):
-                raise ValueError(f"need one stamp per item, got shape {self._stamps.shape} for n={self.n}")
-            # the Fenwick tree and the MRU predicate both rely on distinct stamps
-            if len(np.unique(self._stamps)) != self.n:
-                raise ValueError("stamps must be distinct")
-            self._renumber()
+        self._stamps = np.arange(self.n - 1, -1, -1, dtype=np.int64)
+        self._reset_fenwick()
         self._sv = _int64_view(self._stamps)
         self._ro_stamps = self._stamps.view()
         self._ro_stamps.flags.writeable = False
@@ -94,16 +80,16 @@ class RankTable:
             self._map_slots()
 
     def _map_slots(self):
-        """Allocate the slot -> item map if there is none; fill it and the level boundaries from the stamps."""
+        """Fill the slot -> item map, allocating it if there is none, and the level boundaries.
+
+        Called only while the stamps are exactly 0..n-1, when the table is
+        fresh or just renumbered, so the item of rank r sits in slot n - r.
+        """
         if self._item is None:
             self._item = memoryview(bytearray(4 * self._size)).cast("i")
         item = np.frombuffer(self._item, dtype=np.int32)
         item[self._stamps] = np.arange(self.n, dtype=np.int32)
-        live = np.zeros(self._size, dtype=bool)
-        live[self._stamps] = True
-        # the live slots from least to most recent: the item of rank r is item[slots[n - r]]
-        slots = np.flatnonzero(live)
-        self._bnd = item[slots[self.n + 1 - (2 << np.arange(self.n.bit_length()))]].tolist()
+        self._bnd = item[self.n + 1 - (2 << np.arange(self.n.bit_length()))].tolist()
 
     def _reset_fenwick(self):
         """Fenwick tree (int32 counts, indexed from 1) with slots 0..n-1 live; the clock at n."""
@@ -111,12 +97,8 @@ class RankTable:
         self.clock = self.n
 
     def rank(self, v) -> int:
-        """Rank of item v, by one Fenwick prefix count over the older slots.
-
-        v must be an item id already checked: record() checks it, and
-        Policy.serve checks its request once.
-        """
-        fen, i, older = self._fen, self._sv[v] + 1, 0
+        """Rank of item v, by one Fenwick prefix count over the older slots; ValueError for a non-item."""
+        fen, i, older = self._fen, self._sv[_exact_int(v, "item id", self.n)] + 1, 0
         while i:
             older += fen[i]
             i &= i - 1

@@ -68,6 +68,16 @@ def test_invalid_tree_size_fails(capsys):
     assert "2^d - 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, message", [
+    (["--n", "0"], "item count must be at least 1, got 0"), (["--seed", "-1"], "seed -1 out of range"),
+])
+def test_empty_tree_and_negative_seed_fail_with_a_diagnostic(option, message, capsys):
+    rc = main(["run", "--algo", "fixed", "--n", "7", "--m", "5", *option])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"satree: {message}\n"
+
+
 def test_trace_workload(tmp_path):
     trace = tmp_path / "t.txt"
     trace.write_text("# demo\n0\n2\n1\n")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checkers import check_bijection, rank_order
+from checkers import check_bijection, lay_out, rank_order, recency
 from satree import (
     Policy,
     RankTable,
@@ -241,11 +241,10 @@ def test_max_push_depth_one_exchange():
 def test_max_push_worst_layout_quadratic_hops():
     # max-rank items of levels 1 and 2 placed off the requested branch
     p = Policy("max-push", 15)
-    t = p.tree
-    stamps = p.ranks.stamps.copy()
-    stamps[1], stamps[2] = stamps[2], stamps[1]  # level 1 max rank now at server 1
-    stamps[3], stamps[6] = stamps[6], stamps[3]  # level 2 max rank now at server 3
-    p.ranks = rt = RankTable(15, stamps=stamps)
+    t, rt = p.tree, p.ranks
+    # items 1 and 2 trade ranks, so level 1's max rank is at server 1, and items 3 and 6
+    # trade theirs, so level 2's is at server 3
+    recency(rt, [*range(14, 6, -1), 3, 5, 4, 6, 1, 2, 0])
     assert is_mru(t, rt)
     a, j, _, _ = p.serve(14)  # max-rank leaf, k = 3
     assert a == 3
@@ -256,8 +255,7 @@ def test_max_push_worst_layout_quadratic_hops():
 
 def test_max_push_rejects_non_mru_tree():
     p = Policy("max-push", 7)
-    p.tree = TreeState(7, guests=[6, 1, 2, 3, 4, 5, 0])
-    p.ranks = RankTable(7)
+    lay_out(p.tree, [6, 1, 2, 3, 4, 5, 0])
     with pytest.raises(ValueError, match="MRU"):
         p.serve(3)
 
@@ -296,18 +294,22 @@ def argsort_max_push_serve(p, u):
     return k, adjust, r, None
 
 
+def random_mru_layout(p, rng):
+    """Lay p's tree and rank table out with ranks 2^i .. 2^(i+1)-1 in random order at each depth i."""
+    n = p.tree.n
+    order = rng.permutation(n)  # most recent first
+    lay_out(p.tree, np.concatenate([rng.permutation(order[(1 << i) - 1:(2 << i) - 1])
+                                    for i in range(n.bit_length())]))
+    recency(p.ranks, order[::-1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_max_push_matches_argsort_rule(d, seed, data):
     n = (1 << d) - 1
     fast, slow = Policy("max-push", n), Policy("max-push", n)
-    # start both from the same random MRU layout: ranks 2^i .. 2^(i+1)-1 in any order at depth i
-    rng = np.random.default_rng(seed)
-    stamps = rng.permutation(n)
-    order = np.argsort(-stamps)
-    guests = np.concatenate([rng.permutation(order[(1 << i) - 1:(1 << (i + 1)) - 1]) for i in range(d)])
-    for p in (fast, slow):
-        p.tree, p.ranks = TreeState(n, guests=guests), RankTable(n, stamps=stamps)
+    for p in (fast, slow):  # the same random MRU layout for both
+        random_mru_layout(p, np.random.default_rng(seed))
     for u in data.draw(st.lists(st.integers(0, n - 1), max_size=150)):
         assert fast.serve(u) == argsort_max_push_serve(slow, u)
     assert fast.tree.guest.tolist() == slow.tree.guest.tolist()
@@ -337,15 +339,6 @@ def level_minima_max_push_serve(p, u):
     return k, adjust, r, None
 
 
-def random_mru_layout(n, rng):
-    """Distinct stamps and a tree with ranks 2^i .. 2^(i+1)-1 in random order at each depth i."""
-    stamps = rng.permutation(n)
-    order = np.argsort(-stamps)
-    guests = np.concatenate([rng.permutation(order[(1 << i) - 1:(1 << (i + 1)) - 1])
-                             for i in range(n.bit_length())])
-    return TreeState(n, guests=guests), RankTable(n, stamps=stamps)
-
-
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_max_push_matches_level_minima_rule(d, seed, data):
@@ -353,9 +346,8 @@ def test_max_push_matches_level_minima_rule(d, seed, data):
     n = (1 << d) - 1
     laps = 3 * (n // 4 + 1)
     fast, slow = Policy("max-push", n), Policy("max-push", n)
-    rng = np.random.default_rng(seed)
-    fast.tree, fast.ranks = random_mru_layout(n, rng)
-    slow.tree, slow.ranks = TreeState(n, guests=fast.tree.guest), RankTable(n, stamps=fast.ranks.stamps)
+    for p in (fast, slow):
+        random_mru_layout(p, np.random.default_rng(seed))
     for u in data.draw(st.lists(st.integers(0, n - 1), min_size=laps, max_size=laps + 60)):
         assert fast.serve(u) == level_minima_max_push_serve(slow, u)
     assert fast.tree.guest.tolist() == slow.tree.guest.tolist()
@@ -364,30 +356,6 @@ def test_max_push_matches_level_minima_rule(d, seed, data):
     assert (fast.ledger.access_total, fast.ledger.adjust_total) == \
         (slow.ledger.access_total, slow.ledger.adjust_total)
     assert fast.ws.total == slow.ws.total
-
-
-def non_mru_rebinding(p, what):
-    """Rebind max-push's tree or rank table to a state that is not MRU."""
-    t = p.tree
-    if what == "tree":
-        guests = t.guest.copy()
-        guests[0], guests[-1] = guests[-1], guests[0]
-        p.tree = TreeState(t.n, guests=guests)
-    else:
-        p.ranks = RankTable(t.n, stamps=np.arange(t.n))  # item 0 the least recent, at the root
-
-
-@pytest.mark.parametrize("what", ["tree", "ranks"])
-def test_max_push_rejects_a_non_mru_rebinding_every_time(what):
-    p = Policy("max-push", 15)
-    for v in (9, 3, 14, 0, 9):
-        p.serve(v)
-    non_mru_rebinding(p, what)
-    before = snapshot(p)
-    for v in (5, 5, 11):
-        with pytest.raises(ValueError, match="MRU"):
-            p.serve(v)
-        assert snapshot(p) == before
 
 
 @pytest.mark.parametrize("kind", ["move-half", "random-push", "max-push"])
@@ -569,6 +537,19 @@ def test_rejected_request_changes_nothing(kind):
 
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_tree_and_ranks_cannot_be_rebound(kind):
+    p = make_policy(kind, 15)
+    for v in (7, 3, 12):
+        p.serve(v)
+    t, rt, before = p.tree, p.ranks, snapshot(p)
+    with pytest.raises(AttributeError):
+        p.tree = TreeState(15)
+    with pytest.raises(AttributeError):
+        p.ranks = RankTable(15)
+    assert p.tree is t and p.ranks is rt and snapshot(p) == before
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
 @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
 def test_bool_requests_are_refused_and_change_nothing(kind, flag):
     # bool is an int subclass in Python, but no item id: both kinds of bool are refused alike
@@ -583,7 +564,7 @@ def test_bool_requests_are_refused_and_change_nothing(kind, flag):
 
 def test_max_push_rejection_changes_nothing():
     p = Policy("max-push", 7)
-    p.tree = TreeState(7, guests=[6, 1, 2, 3, 4, 5, 0])
+    lay_out(p.tree, [6, 1, 2, 3, 4, 5, 0])
     before = snapshot(p)
     with pytest.raises(ValueError, match="MRU"):
         p.serve(3)
@@ -599,8 +580,8 @@ def test_max_push_after_a_record_outside_serve_serves_as_fresh_or_rejects(n, dat
     # stamping the root's item changes no rank; any other item leaves the tree out of MRU order
     record(p.ranks, int(p.tree.guest[0]) if data.draw(st.booleans()) else data.draw(st.integers(0, n - 1)))
     fresh = Policy("max-push", n)
-    fresh.tree = TreeState(n, guests=p.tree.guest)
-    fresh.ranks = RankTable(n, stamps=p.ranks.stamps)
+    lay_out(fresh.tree, p.tree.guest)
+    recency(fresh.ranks, rank_order(p.ranks)[::-1])
     u = data.draw(st.integers(0, n - 1))
     before = (snapshot(p), list(p.ranks._bnd))
     try:
@@ -615,26 +596,6 @@ def test_max_push_after_a_record_outside_serve_serves_as_fresh_or_rejects(n, dat
         assert p.tree.guest.tolist() == fresh.tree.guest.tolist()
         assert rank_order(p.ranks).tolist() == rank_order(fresh.ranks).tolist()
         assert p.ranks._bnd == fresh.ranks._bnd
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.sampled_from([1, 7, 15, 255]), data=st.data())
-def test_max_push_rebound_to_a_copy_of_its_own_layout_serves_as_fresh(n, data):
-    # the rebinding re-runs the full MRU check and re-seeds the table's level boundaries
-    # mid-window, with dead slots and stale map entries left behind by the served requests
-    items = st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * (n // 4 + 1))
-    p = Policy("max-push", n)
-    for v in data.draw(items):
-        p.serve(v)
-    p.tree = TreeState(n, guests=p.tree.guest)
-    fresh = Policy("max-push", n)
-    fresh.tree = TreeState(n, guests=p.tree.guest)
-    fresh.ranks = RankTable(n, stamps=p.ranks.stamps)
-    for u in data.draw(items):
-        assert p.serve(u) == fresh.serve(u)
-    assert p.tree.guest.tolist() == fresh.tree.guest.tolist()
-    assert rank_order(p.ranks).tolist() == rank_order(fresh.ranks).tolist()
-    assert p.ranks._bnd == fresh.ranks._bnd
 
 
 INVALID = st.sampled_from([3.7, -1, 15, 99, "3", None, 2.0])
@@ -666,7 +627,8 @@ def test_cost_bound_is_checked_on_every_request(monkeypatch):
 ASSERT_FREE_CHECKS = """
 import sys
 import satree.policies
-from satree import Policy, TreeState
+from checkers import lay_out
+from satree import Policy
 
 def snapshot(p):
     return (p.tree.guest.tolist(), p.tree.host.tolist(), p.ranks.stamps.tolist(),
@@ -689,8 +651,11 @@ if snapshot(p) != before:
     sys.exit("serve(3.7) changed the policy state")
 
 p = Policy("max-push", 7)
-p.tree = TreeState(7, guests=[6, 1, 2, 3, 4, 5, 0])
+lay_out(p.tree, [6, 1, 2, 3, 4, 5, 0])
+before = snapshot(p)
 expect_raise(ValueError, lambda: p.serve(3), "max-push on a non-MRU tree")
+if snapshot(p) != before:
+    sys.exit("max-push on a non-MRU tree changed the policy state")
 
 satree.policies.tree_distance = lambda a, b: 100
 p = Policy("random-push", 15, seed=0)
@@ -701,8 +666,9 @@ print("ok")
 
 def test_invariants_hold_without_assert():
     # python -O strips assert statements, so no invariant may rest on one
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     out = subprocess.run([sys.executable, "-O", "-c", ASSERT_FREE_CHECKS], env=env,
                          capture_output=True, text=True, timeout=120)
     assert (out.returncode, out.stdout, out.stderr) == (0, "ok\n", "")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checkers import rank_order, ranks
+from checkers import rank_order, ranks, recency
 from satree import (
     RankTable,
     Policy,
@@ -46,9 +46,11 @@ def test_fresh_table_ranks_follow_initial_servers():
     rt = RankTable.from_tree(t)
     for i in range(7):
         assert rt.rank(i) == i + 1
-    for bad in (7, -1, 2.0, True, np.True_):
+    for bad in (7, -1, 2.0, 3.7, True, np.True_):
         with pytest.raises(ValueError):
             record(rt, bad)
+        with pytest.raises(ValueError):
+            rt.rank(bad)
     assert [rt.rank(i) for i in range(7)] == list(range(1, 8))
 
 
@@ -123,62 +125,16 @@ def level_boundaries(rt):
 @settings(max_examples=40, deadline=None)
 @given(n=st.sampled_from([1, 3, 7, 255]), data=st.data())
 def test_level_boundaries_follow_every_record_and_rebinding(n, data):
-    # the boundaries are seeded once, then stepped by every record across three renumberings;
-    # a max-push policy that binds the table again re-seeds them, here mid-window, with dead
-    # slots below the clock and stale map entries left in them by the records
+    # a max-push policy seeds the boundaries of the table it builds; every record steps them,
+    # with dead slots below the clock and stale map entries left in them by earlier records,
+    # and every renumbering seeds them again, here a random order and then three more times
     laps = 3 * (n // 4 + 1)
-    requests = st.lists(st.integers(0, n - 1), min_size=laps, max_size=laps + 40)
-    rt = RankTable(n, stamps=data.draw(st.permutations(range(0, 3 * n, 3))))
-    rt._map_slots()
+    rt = Policy("max-push", n).ranks
     assert rt._bnd == level_boundaries(rt)
-    for v in data.draw(requests):
+    requests = data.draw(st.lists(st.integers(0, n - 1), min_size=laps, max_size=laps + 40))
+    for v in data.draw(st.permutations(range(n))) + requests:
         record(rt, v)
         assert rt._bnd == level_boundaries(rt)
-    for v in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n // 4 + 1)):
-        record(rt, v)
-        rt._map_slots()
-        assert rt._bnd == level_boundaries(rt)
-    for v in data.draw(requests):
-        record(rt, v)
-        assert rt._bnd == level_boundaries(rt)
-
-
-def test_stamps_must_be_distinct():
-    with pytest.raises(ValueError, match="distinct"):
-        RankTable(3, stamps=[5, 2, 5])
-    for bad in ([0, 1], [0, 1, 2, 3], [[0, 1, 2]]):
-        with pytest.raises(ValueError, match="one stamp per item"):
-            RankTable(3, stamps=bad)
-    rt = RankTable(3, stamps=[40, -7, 12])  # any distinct stamps keep their order
-    assert ranks(rt).tolist() == [1, 3, 2]
-
-
-def test_stamps_must_be_integers():
-    # an int64 copy would truncate these: [1.9, 0.1, 2.5] to the distinct [1, 0, 2] and
-    # [0.9, 0.1, 2.5] to [0, 0, 2], whose stamps are distinct before truncation
-    for bad in ([1.9, 0.1, 2.5], [0.9, 0.1, 2.5], np.array([2.0, 0.0, 1.0]), [True, False, True],
-                np.array([True, False, True])):
-        with pytest.raises(ValueError, match="stamps must be integers"):
-            RankTable(3, stamps=bad)
-    for good in (np.array([2, 0, 1], dtype=np.uint8), np.array([2, 0, 1], dtype=np.int16)):
-        assert ranks(RankTable(3, stamps=good)).tolist() == [1, 3, 2]
-
-
-@pytest.mark.parametrize("restamp", [lambda s: s + 1, lambda s: s * 3, lambda s: -s],
-                         ids=["shifted", "scaled", "reversed"])
-def test_given_stamps_build_the_table_in_their_order(restamp):
-    rt = RankTable(7)
-    for v in (3, 5, 3, 0):
-        record(rt, v)
-    given = restamp(rt.stamps)
-    rt = RankTable(7, stamps=given)
-    assert rt.stamps.tolist() == np.argsort(np.argsort(given)).tolist()  # renumbered to 0..n-1
-    assert [rt.rank(v) for v in range(7)] == ranks(rt).tolist()
-    for v in (6, 2, 6):
-        record(rt, v)
-    assert [rt.rank(v) for v in range(7)] == ranks(rt).tolist()
-    rt._map_slots()
-    assert rt._bnd == level_boundaries(rt)
 
 
 def test_stamps_are_read_only():
@@ -192,18 +148,6 @@ def test_stamps_are_read_only():
     assert (rt.stamps.tolist(), rt.clock, [rt.rank(v) for v in range(7)]) == before
     record(rt, 0)  # the table itself still stores into them
     assert rt.rank(0) == 1 and rt.stamps[0] == rt.clock - 1
-
-
-def test_rebinding_bad_stamps_leaves_the_table_unchanged():
-    rt = RankTable(7)
-    record(rt, 4)
-    before = (rt.stamps.tolist(), rt.clock, [rt.rank(v) for v in range(7)])
-    for bad, message in (([0, 1, 2, 3, 4, 5, 5], "distinct"), ([0, 1, 2], "one stamp per item")):
-        with pytest.raises(ValueError, match=message):
-            RankTable(7, stamps=bad)
-        with pytest.raises(AttributeError):
-            rt.stamps = bad
-        assert (rt.stamps.tolist(), rt.clock, [rt.rank(v) for v in range(7)]) == before
 
 
 def test_item_count_is_an_exact_positive_integer():
@@ -244,7 +188,8 @@ def test_is_mru_fresh_identity_and_after_cross_level_swap():
 def test_level_minima_mru_predicate_matches_argsort(d, seed, layout):
     n = (1 << d) - 1
     rng = np.random.default_rng(seed)
-    rt = RankTable(n, stamps=rng.permutation(4 * n)[:n])
+    rt = RankTable(n)
+    recency(rt, rng.permutation(n))
     order = rank_order(rt)
     # an MRU layout: the items of ranks 2^i .. 2^(i+1)-1 in any order at depth i
     guests = np.concatenate([rng.permutation(order[(1 << i) - 1:(1 << (i + 1)) - 1]) for i in range(d)])
@@ -283,11 +228,12 @@ def test_max_rank_item_at_depth_refuses_a_level_off_the_tree(lvl, message):
 
 @pytest.mark.parametrize("n", [1, 3, 255, 16383])
 def test_max_rank_item_at_depth_matches_an_argmin_over_each_level(n):
-    # random layouts and stamps, checked at every level before and after records that
+    # random layouts and recency orders, checked at every level before and after records that
     # renumber the table at least once
     rng = np.random.default_rng(n)
     t = TreeState(n, guests=rng.permutation(n))
-    rt = RankTable(n, stamps=rng.permutation(3 * n)[:n])
+    rt = RankTable(n)
+    recency(rt, rng.permutation(n))
 
     def check():
         for lvl in range(t.num_levels):

@@ -13,6 +13,7 @@ from .bench import emit, random_push_rank_stats, run
 from .markov import binomial_identity, concavity_check, expected_state_curve
 from .oracle import check_supported, opt_cost
 from .policies import POLICY_KINDS, Policy
+from .tree import _exact_int
 from .workloads import WorkloadSpec
 
 
@@ -33,6 +34,14 @@ _OPTIONS = {
     "--oracle": dict(action="store_true", help="attach the exact offline optimum (n in 3/7)"),
 }
 _RUN_OPTIONS = tuple(name for name in _OPTIONS if name != "--seeds")
+
+
+def _comma_list(value, option) -> list[str]:
+    """The stripped entries of a comma list: none for an empty value, refused for one of only commas."""
+    entries = [e.strip() for e in value.split(",") if e.strip()]
+    if value and not entries:
+        raise ValueError(f"{option} {value!r} names no entry")
+    return entries
 
 
 def _request_count(args) -> int:
@@ -70,8 +79,8 @@ def _cmd_run(args):
 
 
 def _cmd_matrix(args):
-    algos = [a.strip() for a in args.algo.split(",") if a.strip()]
-    workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
+    algos = _comma_list(args.algo, "--algo")
+    workloads = _comma_list(args.workload, "--workload")
     reports = [run(algo, spec, check_mru=args.check_mru, oracle=args.oracle)
                for algo, spec in _runs(args, algos, workloads)]
     _write(emit(reports, args.format), args.out)
@@ -79,9 +88,15 @@ def _cmd_matrix(args):
 
 
 def _seed_list(args):
-    if args.seeds:
-        return [int(s) for s in args.seeds.split(",") if s.strip()]
-    return [args.seed]
+    if not args.seeds:
+        return [args.seed]
+    seeds = []
+    for s in _comma_list(args.seeds, "--seeds"):
+        try:
+            seeds.append(int(s))
+        except ValueError:
+            raise ValueError(f"--seeds entry {s!r} is not an integer") from None
+    return seeds
 
 
 @dataclass
@@ -130,6 +145,10 @@ def _cmd_markov_check(args):
 
 
 def _cmd_oracle_check(args):
+    online = [kind for kind in POLICY_KINDS if kind != "static-mfu"]  # static-mfu needs frequencies
+    if args.algo not in online:
+        raise ValueError(f"oracle-check takes an online policy ({', '.join(online)}), got {args.algo!r}")
+    _exact_int(args.seed, "seed")
     m = _request_count(args)
     check_supported(args.n, m)
     if args.n == 3 and m <= 6:

@@ -1,9 +1,13 @@
-"""Reference checkers the tests share: the tree's bijection and the full recency order,
-and the layouts the tests start from, made through the public operations."""
+"""Reference checkers the tests share: the tree's bijection and the full recency order, the
+layouts the tests start from, made through the public operations, and one reference for every
+policy kind.  Each check raises explicitly, as python -O strips assert statements here."""
+
+import math
 
 import numpy as np
 
-from satree import record
+from satree import record, tree_distance
+from satree.tree import depth
 
 
 def check_bijection(t):
@@ -35,3 +39,116 @@ def recency(rt, oldest_first):
     """Record the given items from least to most recent; all n of them set the whole rank order."""
     for v in oldest_first:
         record(rt, int(v))
+
+
+def random_mru_layout(p, rng):
+    """Lay p's tree and rank table out with ranks 2^i .. 2^(i+1)-1 in random order at each depth i."""
+    n = p.tree.n
+    order = rng.permutation(n)  # most recent first
+    lay_out(p.tree, np.concatenate([rng.permutation(order[(1 << i) - 1:(2 << i) - 1])
+                                    for i in range(n.bit_length())]))
+    recency(p.ranks, order[::-1])
+
+
+def bit_path(word, k):
+    """Random-push's path built one child at a time from the word's top k bits (1 = right)."""
+    path = [0]
+    for i in range(k):
+        path.append(2 * path[-1] + 1 + ((word >> (63 - i)) & 1))
+    return path
+
+
+class NumpyReference:
+    """Every policy kind on plain numpy arrays, started from a copy of a policy's state.
+
+    Every read and store of guest, host and the stamps is one numpy index
+    or slice.  A rank counts the newer stamps, the stamps come from a clock
+    that is never renumbered, and move-half's partner is an argmin over its
+    level's stamps.  Max-push follows the paper's rank rule: it demotes the
+    item of rank 2^(j+1)-1 from each level j above u, and refuses, moving
+    nothing, when u or a demoted item is off its MRU depth.  Random-push
+    reads one word at a time from a copy of the policy's push bit generator,
+    after the words it has drawn and not used.
+    """
+
+    def __init__(self, p):
+        self.n = p.tree.n
+        # fixed and static-mfu never adjust; max-push checks its layout at the root too
+        self._adjust = getattr(self, "_" + p.kind.replace("-", "_"), self._stay)
+        self._adjust_at_root = p.kind == "max-push"
+        self.guest, self.host = p.tree.guest.copy(), p.tree.host.copy()
+        self.stamps, self.clock = p.ranks.stamps.copy(), p.ranks.clock
+        if p.kind == "random-push":
+            self.pending = list(p._push_words)
+            self.bits = np.random.PCG64()
+            self.bits.state = p._push_bits.state
+        self.access_total, self.adjust_total = p.ledger.access_total, p.ledger.adjust_total
+        self.ws_total = p.ws.total
+
+    def rank(self, v):
+        return 1 + int((self.stamps > self.stamps[v]).sum())
+
+    def boundaries(self):
+        """The item of rank 2^(j+1) - 1 for every level j: the least recent of level j in an MRU tree."""
+        order = rank_order(self)
+        return [int(order[(2 << j) - 2]) for j in range(self.n.bit_length())]
+
+    def record(self, v):
+        self.stamps[v] = self.clock
+        self.clock += 1
+
+    def swap(self, a, b):
+        """Exchange the items at servers a and b."""
+        x, y = int(self.guest[a]), int(self.guest[b])
+        self._place(x, b)
+        self._place(y, a)
+
+    def _place(self, v, s):
+        self.guest[s] = v
+        self.host[v] = s
+
+    def _move_half(self, u, k, r):
+        lo = (1 << (k // 2)) - 1
+        level = self.guest[lo:2 * lo + 1]
+        v = int(level[np.argmin(self.stamps[level])])
+        a, b = int(self.host[u]), int(self.host[v])
+        self._place(v, a)
+        self._place(u, b)
+        return 2 * tree_distance(a, b) - 1, None
+
+    def _random_push(self, u, k, r):
+        word = self.pending.pop() if self.pending else int(self.bits.random_raw())
+        path = bit_path(word, k)
+        s = int(self.host[u])
+        old = [int(self.guest[q]) for q in path]
+        self._place(u, 0)
+        for j in range(k):
+            self._place(old[j], path[j + 1])
+        if path[k] == s:
+            return 2 * k, path
+        self._place(old[k], s)
+        return 2 * k + tree_distance(path[k], s), path
+
+    def _max_push(self, u, k, r):
+        demoted = self.boundaries()[:k]
+        chain = [int(self.host[w]) for w in demoted]
+        if k != r.bit_length() - 1 or list(map(depth, chain)) != list(range(k)):
+            raise ValueError("max-push requires an MRU tree")
+        dests = chain[1:] + [int(self.host[u])]
+        adjust = k + sum(map(tree_distance, chain, dests))
+        self._place(u, 0)
+        for w, q in zip(demoted, dests):
+            self._place(w, q)
+        return adjust, None
+
+    def _stay(self, u, k, r):
+        return 0, None
+
+    def serve(self, u):
+        k, r = depth(self.host[u]), self.rank(u)
+        adjust, path = self._adjust(u, k, r) if k or self._adjust_at_root else (0, None)
+        self.record(u)
+        self.access_total += k
+        self.adjust_total += adjust
+        self.ws_total += math.log2(r)
+        return k, adjust, r, path

@@ -224,3 +224,16 @@ def test_depth_stats_rejects_an_empty_seed_list(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("satree:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle-check", "--n", "7", "--m", "6", "--seed", "-1"], "seed -1 out of range"),
+    (["oracle-check", "--n", "3", "--algo", "static-mfu"],
+     "oracle-check takes an online policy (move-half, random-push, max-push, fixed), got 'static-mfu'"),
+    (["matrix", "--algo", ",", "--n", "7", "--m", "5"], "--algo ',' names no entry"),
+    (["matrix", "--workload", ",", "--n", "7", "--m", "5"], "--workload ',' names no entry"),
+    (["depth-stats", "--seeds", "a"], "--seeds entry 'a' is not an integer"),
+])
+def test_malformed_arguments_fail_with_one_line(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"satree: {message}\n")

@@ -1,7 +1,6 @@
 """The four relocation policies and the static tree builder."""
 
 import itertools
-import math
 import os
 import subprocess
 import sys
@@ -9,10 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from checkers import check_bijection, lay_out, rank_order, recency
+from checkers import bit_path, check_bijection, lay_out, recency
 from satree import (
     Policy,
     RankTable,
@@ -22,25 +19,15 @@ from satree import (
     interchange,
     is_mru,
     record,
-    routing_header,
     tree_distance,
 )
-from satree.policies import POLICY_KINDS, _push_down
+from satree.policies import POLICY_KINDS
 from satree.tree import depth
-from satree.workset import _level_minima
 
 
 def word_of(bits):
     """A 64-bit push word whose top bits are the given child bits, first bit highest."""
     return sum(int(b) << (63 - i) for i, b in enumerate(bits))
-
-
-def bit_path(word, k):
-    """Reference push path built one child at a time from the word's top k bits (1 = right)."""
-    path = [0]
-    for i in range(k):
-        path.append(2 * path[-1] + 1 + ((word >> (63 - i)) & 1))
-    return path
 
 
 class ScriptedBits:
@@ -85,15 +72,6 @@ def test_move_half_opposite_branch_example():
     check_bijection(t)
 
 
-def test_move_half_per_request_bound_fuzz():
-    rng = np.random.default_rng(2)
-    p = Policy("move-half", 31)
-    per_request = [p.serve(int(v))[:2] for v in rng.integers(0, 31, size=3000)]
-    assert all(a + j <= 4 * a for a, j in per_request if a)
-    assert all((a, j) == (0, 0) for a, j in per_request if not a)
-    check_bijection(p.tree)
-
-
 def test_random_push_root_request_is_free():
     p = scripted([])
     assert p.serve(0) == (0, 0, 1, None)
@@ -119,21 +97,6 @@ def test_random_push_path_lands_on_sibling():
     assert a + j <= 5 * 1
 
 
-def test_random_push_depths_never_decrease_except_requested():
-    rng = np.random.default_rng(9)
-    p = Policy("random-push", 31, seed=9)
-    t = p.tree
-    per_request = []
-    for v in rng.integers(0, 31, size=2000):
-        before = t.depths[t.host].copy()
-        per_request.append(p.serve(int(v))[:2])
-        after = t.depths[t.host]
-        others = np.arange(31) != int(v)
-        assert (after[others] >= before[others]).all()
-    assert all(a + j <= 5 * a for a, j in per_request if a)
-    check_bijection(t)
-
-
 def test_random_push_is_deterministic_given_seed():
     def final_state(seed):
         p = Policy("random-push", 15, seed=seed)
@@ -142,62 +105,6 @@ def test_random_push_is_deterministic_given_seed():
 
     assert final_state(123) == final_state(123)
     assert final_state(123) != final_state(124)
-
-
-def store_loop_random_push_serve(p, u, word):
-    """Random-push's serve with its own push loop and the per-bit path of the given word: one
-    guest/host store per level, u to the root, and the end-of-path item's trip to u's old
-    server charged by tree distance."""
-    t = p.tree
-    k = depth(t.host[u])
-    adjust, path = 0, None
-    if k > 0:
-        s = int(t.host[u])
-        path = bit_path(word, k)
-        old = [int(t.guest[q]) for q in path]
-        t.guest[0] = u
-        t.host[u] = 0
-        for j in range(k):
-            t.guest[path[j + 1]] = old[j]
-            t.host[old[j]] = path[j + 1]
-        extra = 0
-        if path[k] != s:
-            w = old[k]
-            t.guest[s] = w
-            t.host[w] = s
-            extra = tree_distance(path[k], s)
-        adjust = k + k + extra
-    r = record(p.ranks, u)
-    p.ledger.access_total += k
-    p.ledger.adjust_total += adjust
-    p.ws.total += math.log2(r)
-    return k, adjust, r, path
-
-
-@settings(max_examples=60, deadline=None)
-@given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
-       requests=st.lists(st.tuples(st.integers(0, 254), st.booleans()), max_size=150))
-def test_random_push_matches_store_loop(d, seed, requests):
-    # aim=True scripts the push path down to u's own server; otherwise the word's top bits are
-    # random, and the path ends on u's server only by chance; the bits below the path are random
-    n = (1 << d) - 1
-    fast, slow = scripted([], n), Policy("random-push", n)
-    rng = np.random.default_rng(seed)
-    for u, aim in requests:
-        u %= n
-        k = depth(fast.tree.host[u])
-        word = int(rng.integers(0, 1 << 64, dtype=np.uint64))
-        if aim:
-            word = word_of(routing_header(fast.tree, u)) | (word >> k)
-        if k:
-            fast._push_bits.words.append(word)
-        assert fast.serve(u) == store_loop_random_push_serve(slow, u, word)
-        check_bijection(fast.tree)
-    assert fast.tree.guest.tolist() == slow.tree.guest.tolist()
-    assert fast.tree.host.tolist() == slow.tree.host.tolist()
-    assert (fast.ledger.access_total, fast.ledger.adjust_total) == \
-        (slow.ledger.access_total, slow.ledger.adjust_total)
-    assert fast.ws.total == slow.ws.total
 
 
 def test_block_drawn_paths_equal_per_request_words():
@@ -258,104 +165,6 @@ def test_max_push_rejects_non_mru_tree():
     lay_out(p.tree, [6, 1, 2, 3, 4, 5, 0])
     with pytest.raises(ValueError, match="MRU"):
         p.serve(3)
-
-
-def test_max_push_keeps_mru_under_fuzz():
-    rng = np.random.default_rng(11)
-    p = Policy("max-push", 15)
-    for v in rng.integers(0, 15, size=1000):
-        p.serve(int(v))
-        assert is_mru(p.tree, p.ranks)
-    check_bijection(p.tree)
-
-
-def argsort_max_push_serve(p, u):
-    """Max-push's serve as it was before the per-level minima: a full rank order per request,
-    the MRU check on it, and the item of rank 2^(i+1)-1 demoted from each level i < k."""
-    t, ledger = p.tree, p.ledger
-    order = rank_order(p.ranks)
-    if not (t.depths[t.host[order]] == t.depths).all():
-        raise ValueError("max-push requires an MRU tree")
-    k = depth(t.host[u])
-    adjust = 0
-    if k > 0:
-        demoted = [int(order[(1 << (i + 1)) - 2]) for i in range(k)]
-        dests = [int(t.host[u])] + [int(t.host[w]) for w in demoted[:0:-1]]
-        moves = list(zip(demoted[::-1], dests)) + [(u, int(t.host[demoted[0]]))]
-        # every hop is measured before any item moves, then each move is one guest/host store
-        adjust = sum(tree_distance(t.host[v], dest) for v, dest in moves)
-        for v, dest in moves:
-            t.guest[dest] = v
-            t.host[v] = dest
-    r = record(p.ranks, u)
-    ledger.access_total += k
-    ledger.adjust_total += adjust
-    p.ws.total += math.log2(r)
-    return k, adjust, r, None
-
-
-def random_mru_layout(p, rng):
-    """Lay p's tree and rank table out with ranks 2^i .. 2^(i+1)-1 in random order at each depth i."""
-    n = p.tree.n
-    order = rng.permutation(n)  # most recent first
-    lay_out(p.tree, np.concatenate([rng.permutation(order[(1 << i) - 1:(2 << i) - 1])
-                                    for i in range(n.bit_length())]))
-    recency(p.ranks, order[::-1])
-
-
-@settings(max_examples=60, deadline=None)
-@given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_max_push_matches_argsort_rule(d, seed, data):
-    n = (1 << d) - 1
-    fast, slow = Policy("max-push", n), Policy("max-push", n)
-    for p in (fast, slow):  # the same random MRU layout for both
-        random_mru_layout(p, np.random.default_rng(seed))
-    for u in data.draw(st.lists(st.integers(0, n - 1), max_size=150)):
-        assert fast.serve(u) == argsort_max_push_serve(slow, u)
-    assert fast.tree.guest.tolist() == slow.tree.guest.tolist()
-    assert fast.ws.total == slow.ws.total and fast.ledger.cost_total == slow.ledger.cost_total
-
-
-def level_minima_max_push_serve(p, u):
-    """Max-push's serve as it was before the Fenwick descents: the per-level stamp minima and
-    the MRU check on every request, and each level's minimum-stamp server as the push chain."""
-    t = p.tree
-    k = depth(t.host[u])
-    stamps = p.ranks.stamps[t.guest]
-    mins, mru = _level_minima(t, stamps)
-    if not mru:
-        raise ValueError("max-push requires an MRU tree")
-    adjust = 0
-    if k > 0:
-        top = (1 << k) - 1
-        lru = np.flatnonzero(stamps[:top] == mins[t.depths[:top]]).tolist()
-        s = int(t.host[u])
-        _push_down(t, u, lru)
-        adjust = k + sum(map(tree_distance, lru, lru[1:] + [s]))
-    r = record(p.ranks, u)
-    p.ledger.access_total += k
-    p.ledger.adjust_total += adjust
-    p.ws.total += math.log2(r)
-    return k, adjust, r, None
-
-
-@settings(max_examples=60, deadline=None)
-@given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_max_push_matches_level_minima_rule(d, seed, data):
-    # the slot map must survive at least three renumberings, one every n//4 + 1 requests
-    n = (1 << d) - 1
-    laps = 3 * (n // 4 + 1)
-    fast, slow = Policy("max-push", n), Policy("max-push", n)
-    for p in (fast, slow):
-        random_mru_layout(p, np.random.default_rng(seed))
-    for u in data.draw(st.lists(st.integers(0, n - 1), min_size=laps, max_size=laps + 60)):
-        assert fast.serve(u) == level_minima_max_push_serve(slow, u)
-    assert fast.tree.guest.tolist() == slow.tree.guest.tolist()
-    assert fast.tree.host.tolist() == slow.tree.host.tolist()
-    assert fast.ranks.stamps.tolist() == slow.ranks.stamps.tolist()
-    assert (fast.ledger.access_total, fast.ledger.adjust_total) == \
-        (slow.ledger.access_total, slow.ledger.adjust_total)
-    assert fast.ws.total == slow.ws.total
 
 
 @pytest.mark.parametrize("kind", ["move-half", "random-push", "max-push"])
@@ -569,50 +378,6 @@ def test_max_push_rejection_changes_nothing():
     with pytest.raises(ValueError, match="MRU"):
         p.serve(3)
     assert snapshot(p) == before
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.sampled_from([7, 15, 255]), data=st.data())
-def test_max_push_after_a_record_outside_serve_serves_as_fresh_or_rejects(n, data):
-    p = Policy("max-push", n)
-    for v in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * (n // 4 + 1))):
-        p.serve(v)
-    # stamping the root's item changes no rank; any other item leaves the tree out of MRU order
-    record(p.ranks, int(p.tree.guest[0]) if data.draw(st.booleans()) else data.draw(st.integers(0, n - 1)))
-    fresh = Policy("max-push", n)
-    lay_out(fresh.tree, p.tree.guest)
-    recency(fresh.ranks, rank_order(p.ranks)[::-1])
-    u = data.draw(st.integers(0, n - 1))
-    before = (snapshot(p), list(p.ranks._bnd))
-    try:
-        served = p.serve(u)
-    except ValueError as exc:
-        assert "MRU" in str(exc)
-        assert (snapshot(p), p.ranks._bnd) == before
-        with pytest.raises(ValueError, match="MRU"):
-            fresh.serve(u)
-    else:
-        assert served == fresh.serve(u)
-        assert p.tree.guest.tolist() == fresh.tree.guest.tolist()
-        assert rank_order(p.ranks).tolist() == rank_order(fresh.ranks).tolist()
-        assert p.ranks._bnd == fresh.ranks._bnd
-
-
-INVALID = st.sampled_from([3.7, -1, 15, 99, "3", None, 2.0])
-
-
-@settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(POLICY_KINDS),
-       requests=st.lists(st.one_of(st.integers(0, 14), INVALID), max_size=60))
-def test_invalid_requests_leave_no_trace(kind, requests):
-    mixed, valid = make_policy(kind, 15), make_policy(kind, 15)
-    for v in requests:
-        if isinstance(v, int) and 0 <= v < 15:
-            assert mixed.serve(v) == valid.serve(v)
-        else:
-            with pytest.raises(ValueError):
-                mixed.serve(v)
-    assert snapshot(mixed) == snapshot(valid)
 
 
 def test_cost_bound_is_checked_on_every_request(monkeypatch):

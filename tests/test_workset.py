@@ -18,23 +18,6 @@ from satree import (
 )
 
 
-class ScanRanks:
-    """The rank table the Fenwick tree replaced: virtual stamps -(i+1), a clock, an O(n) scan."""
-
-    def __init__(self, n):
-        self.stamps = -np.arange(1, n + 1, dtype=np.int64)
-        self.clock = 0
-
-    def rank(self, v):
-        return int((self.stamps > self.stamps[v]).sum()) + 1
-
-    def record(self, v):
-        r = self.rank(v)
-        self.stamps[v] = self.clock
-        self.clock += 1
-        return r
-
-
 def argsort_is_mru(t, rt):
     """The MRU predicate the per-level minima replaced: rank-r item at depth floor(log2(r))."""
     order = np.argsort(-rt.stamps)
@@ -99,42 +82,6 @@ def test_ranks_always_a_permutation():
         record(rt, int(v))
         assert sorted(ranks(rt).tolist()) == list(range(1, 16))
         assert len(set(rt.stamps.tolist())) == 15
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.sampled_from([1, 3, 7, 255]), data=st.data())
-def test_fenwick_ranks_match_scan(n, data):
-    # the stamps are renumbered every n//4 + 1 records; cross that at least three times
-    laps = 3 * (n // 4 + 1)
-    item = st.integers(0, n - 1)
-    steps = data.draw(st.lists(st.tuples(item, item), min_size=laps, max_size=laps + 40))
-    rt, ref = RankTable(n), ScanRanks(n)
-    for v, probe in steps:
-        assert record(rt, v) == ref.record(v)
-        assert rt.rank(probe) == ref.rank(probe) == int((rt.stamps > rt.stamps[probe]).sum()) + 1
-    assert [rt.rank(v) for v in range(n)] == [ref.rank(v) for v in range(n)] == ranks(rt).tolist()
-    assert 0 <= rt.stamps.min() and rt.stamps.max() < rt.clock
-
-
-def level_boundaries(rt):
-    """The item of rank 2^(j+1) - 1 for every level j, read off the full recency order."""
-    order = rank_order(rt)
-    return [int(order[(2 << j) - 2]) for j in range(rt.n.bit_length())]
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.sampled_from([1, 3, 7, 255]), data=st.data())
-def test_level_boundaries_follow_every_record_and_rebinding(n, data):
-    # a max-push policy seeds the boundaries of the table it builds; every record steps them,
-    # with dead slots below the clock and stale map entries left in them by earlier records,
-    # and every renumbering seeds them again, here a random order and then three more times
-    laps = 3 * (n // 4 + 1)
-    rt = Policy("max-push", n).ranks
-    assert rt._bnd == level_boundaries(rt)
-    requests = data.draw(st.lists(st.integers(0, n - 1), min_size=laps, max_size=laps + 40))
-    for v in data.draw(st.permutations(range(n))) + requests:
-        record(rt, v)
-        assert rt._bnd == level_boundaries(rt)
 
 
 def test_stamps_are_read_only():

@@ -68,7 +68,7 @@ def run(algo, spec: WorkloadSpec, check_mru=False, oracle=False) -> RunReport:
         check_supported(spec.n, len(items))
         init_layout = tuple(int(g) for g in policy.tree.guest)
     violations = 0 if check_mru else None
-    for v in items:
+    for v in memoryview(items):  # plain ints, with no copy of the array
         policy.serve(v)
         if check_mru and not is_mru(policy.tree, policy.ranks):
             violations += 1
@@ -98,16 +98,15 @@ def random_push_rank_stats(n, m, seeds, warmup=0):
     For every request the pre-update rank and the access depth are recorded.
     For items with a real previous access, the number of requests since that
     access whose target sat strictly deeper (at its request time) is recorded
-    against the same rank.  Returns per-rank sums and sample counts summed
-    over all seeds, skipping the first `warmup` requests of each run.
+    against the same rank.  Returns per-rank sums (float64) and sample
+    counts (int64), n + 1 entries each indexed by rank, summed over all
+    seeds, skipping the first `warmup` requests of each run.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    depth_sum = np.zeros(n + 1)
-    depth_cnt = np.zeros(n + 1, dtype=np.int64)
-    w_sum = np.zeros(n + 1)
-    w_cnt = np.zeros(n + 1, dtype=np.int64)
+    # plain lists: integer sums, exact as float64 in the arrays returned
+    depth_sum, depth_cnt, w_sum, w_cnt = ([0] * (n + 1) for _ in range(4))
     for seed in seeds:
         items = generate(WorkloadSpec(kind="uniform", n=n, m=m, seed=int(seed)))
         policy = Policy("random-push", n, seed=int(seed))
@@ -118,7 +117,7 @@ def random_push_rank_stats(n, m, seeds, warmup=0):
         acc = [0] * n
         seen = bytearray(n)
         guest = policy.tree._gv
-        for step, u in enumerate(items):
+        for step, u in enumerate(items.tolist()):
             k, _, r, path = policy.serve(u)
             if step >= warmup:
                 depth_sum[r] += k
@@ -136,7 +135,10 @@ def random_push_rank_stats(n, m, seeds, warmup=0):
                     v = guest[path[j + 1]]  # pushed from depth j to j+1
                     acc[v] += suf[j] - base[v]
                     base[v] = suf[j + 1]
-    return {"depth_sum": depth_sum, "depth_cnt": depth_cnt, "w_sum": w_sum, "w_cnt": w_cnt}
+    return {"depth_sum": np.array(depth_sum, dtype=np.float64),
+            "depth_cnt": np.array(depth_cnt, dtype=np.int64),
+            "w_sum": np.array(w_sum, dtype=np.float64),
+            "w_cnt": np.array(w_cnt, dtype=np.int64)}
 
 
 def _format_cell(value):

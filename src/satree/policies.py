@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -61,15 +62,19 @@ def _push_down(t, u, chain):
     """Put u at the root and push the item at each chain server to the next chain server.
 
     chain lists one server per level, from the root down, and never holds
-    u's server; the item at its last server fills the server u leaves.
+    u's server.  One pass carries the displaced item down: at each chain
+    server it reads the item there, stores the carried one (u at the root)
+    and carries the item it read on; the last one fills the server u left.
     """
     guest, host = t._gv, t._hv
-    items = [guest[q] for q in chain]
-    for v, q in zip(items, chain[1:] + [host[u]]):
+    s, v = host[u], u
+    for q in chain:
+        w = guest[q]
         guest[q] = v
         host[v] = q
-    guest[0] = u
-    host[u] = 0
+        v = w
+    guest[s] = v
+    host[v] = s
 
 
 def _random_push(p, u, k, r):
@@ -206,9 +211,10 @@ class Policy:
         A request over its kind's cost bound raises RuntimeError with the
         tree moved but nothing charged.
         """
-        u = _exact_int(u, "item id", self._tree.n)
+        r = self._ranks.rank(u)  # the request's one id check; the adjustment leaves ranks as they are
+        if type(u) is not int:
+            u = operator.index(u)  # an id rank accepted, as the plain int the memoryviews store
         k = (self._tree._hv[u] + 1).bit_length() - 1  # u's depth; the tree's own server id needs no check
-        r = self._ranks.rank(u)  # ranks do not depend on the tree, so the adjustment leaves r as is
         adjust, path = self._adjust(self, u, k, r)
         factor = self._factor
         if factor is not None and k + adjust > factor * k:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import functools
+import operator
 
 import numpy as np
 
@@ -21,10 +21,14 @@ class RankTable:
 
     Stamps are slots in a window of n + n//4 + 1: stamps[v] is the slot of
     v's last access, and clock the slot the next access takes.  A Fenwick
-    tree (Fenwick 1994) over the slots marks the n live ones, so a rank is
-    one prefix count and a record two point updates, both O(log n).  When
-    the clock reaches the end of the window the stamps are renumbered
-    0..n-1 in recency order, O(n) once every n//4 + 1 records.
+    tree (Fenwick 1994) over the slots marks the dead ones below the clock,
+    the slots items have left.  Every slot below stamps[v] is live or dead,
+    so rank(v) = n - stamps[v] + (dead slots below stamps[v]): a rank is one
+    prefix count and a record one point update, at the slot it kills, both
+    O(log n); the clock's new slot was unmarked and stays so.  When the
+    clock reaches the end of the window the stamps are renumbered 0..n-1 in
+    recency order, O(n) once every n//4 + 1 records, and with no dead slot
+    the tree starts again from zeros.
 
     Before any access, RankTable(n) ranks item i as i + 1 and from_tree
     ranks the item at server i as i + 1, both with stamps 0..n-1.  So a
@@ -92,27 +96,25 @@ class RankTable:
         self._bnd = item[self.n + 1 - (2 << np.arange(self.n.bit_length()))].tolist()
 
     def _reset_fenwick(self):
-        """Fenwick tree (int32 counts, indexed from 1) with slots 0..n-1 live; the clock at n."""
-        self._fen = memoryview(bytearray(_fresh_fenwick(self.n, self._size))).cast("i")
+        """Fenwick tree (int32 counts, indexed from 1) with no dead slot; the clock at n."""
+        self._fen = memoryview(bytearray(4 * (self._size + 1))).cast("i")
         self.clock = self.n
 
     def rank(self, v) -> int:
-        """Rank of item v, by one Fenwick prefix count over the older slots; ValueError for a non-item."""
-        fen, i, older = self._fen, self._sv[_exact_int(v, "item id", self.n)] + 1, 0
+        """Rank of item v: n - its slot + the dead slots below it; ValueError for a non-item."""
+        fen, n = self._fen, self.n
+        i = self._sv[_exact_int(v, "item id", n)]
+        r = n - i
         while i:
-            older += fen[i]
+            r += fen[i]
             i &= i - 1
-        return self.n - older + 1
+        return r
 
     def _touch(self, v, r):
-        """Move item v, of rank r, to the clock slot, the most recent one."""
+        """Move item v, of rank r, to the clock slot, the most recent one, and mark its old slot dead."""
         fen, size, stamps = self._fen, self._size, self._sv
         old = stamps[v]
         i = old + 1
-        while i <= size:
-            fen[i] -= 1
-            i += i & -i
-        i = self.clock + 1
         while i <= size:
             fen[i] += 1
             i += i & -i
@@ -133,25 +135,10 @@ class RankTable:
             self._renumber()
 
 
-@functools.lru_cache(maxsize=8)
-def _fresh_fenwick(n, size) -> bytes:
-    """Fenwick counts over `size` slots of which 0..n-1 are live, as int32 bytes.
-
-    Node i covers slots i - lowbit(i) .. i-1, so it counts lowbit(i) minus
-    the max(i - n, 0) dead slots at its top, floored at 0.  Every table of n
-    items starts from, and renumbers to, this same tree.
-    """
-    i = np.arange(size + 1, dtype=np.int32)
-    counts = i & -i
-    counts -= np.maximum(i - n, 0)
-    return np.maximum(counts, 0).tobytes()
-
-
 def record(rt: RankTable, v) -> int:
     """Stamp v as the most recent item; returns its rank before the update."""
-    v = _exact_int(v, "item id", rt.n)
-    r = rt.rank(v)
-    rt._touch(v, r)
+    r = rt.rank(v)  # the one id check
+    rt._touch(operator.index(v), r)
     return r
 
 

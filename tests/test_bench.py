@@ -185,6 +185,19 @@ def test_rank_stats_match_brute_force_oracle():
     assert w_cnt.tolist() == stats["w_cnt"].tolist()
 
 
+def test_rank_stats_are_float_sums_and_integer_counts_per_rank():
+    import numpy as np
+
+    n = 15
+    stats = random_push_rank_stats(n, 200, seeds=[1, 2], warmup=50)
+    assert sorted(stats) == ["depth_cnt", "depth_sum", "w_cnt", "w_sum"]
+    for name, dtype in (("depth_sum", np.float64), ("depth_cnt", np.int64),
+                        ("w_sum", np.float64), ("w_cnt", np.int64)):
+        assert type(stats[name]) is np.ndarray
+        assert stats[name].dtype == dtype and stats[name].shape == (n + 1,)
+    assert stats["depth_cnt"].sum() == 2 * 150 and stats["depth_cnt"][0] == 0
+
+
 def test_rank_stats_need_a_seed():
     with pytest.raises(ValueError, match="seed"):
         random_push_rank_stats(7, 10, [])

@@ -84,6 +84,20 @@ def test_ranks_always_a_permutation():
         assert len(set(rt.stamps.tolist())) == 15
 
 
+@pytest.mark.parametrize("n", [1, 3, 7, 255])
+def test_ranks_match_the_recency_order_across_renumberings(n):
+    # the window has n + n//4 + 1 slots, so every n//4 + 1 records renumber it and empty the
+    # Fenwick tree of dead slots; n = 1 has a window of 2 and renumbers on every record
+    rt = RankTable(n)
+    rng = np.random.default_rng(n)
+    renumberings = 0
+    for v in rng.integers(0, n, size=3 * (n // 4 + 1)).tolist():
+        record(rt, v)
+        renumberings += rt.clock == n  # the clock restarts at n only by a renumbering
+        assert [rt.rank(u) for u in range(n)] == ranks(rt).tolist()
+    assert renumberings >= 2
+
+
 def test_stamps_are_read_only():
     rt = RankTable(7)
     record(rt, 4)

@@ -36,7 +36,7 @@ from .tree import (
     routing_header,
     tree_distance,
 )
-from .workloads import WorkloadSpec, generate, read_trace, zipf_frequencies
+from .workloads import WorkloadSpec, generate, read_trace, stream, zipf_frequencies
 from .workset import (
     RankTable,
     WsAccumulator,

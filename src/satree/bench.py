@@ -6,12 +6,13 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 
 import numpy as np
 
 from .oracle import check_supported, opt_cost
 from .policies import POLICY_KINDS, Policy
-from .workloads import WorkloadSpec, generate, zipf_frequencies
+from .workloads import WorkloadSpec, generate, stream, zipf_frequencies
 from .workset import is_mru
 
 @dataclass
@@ -54,31 +55,43 @@ def _item_frequencies(items, n) -> np.ndarray:
 def run(algo, spec: WorkloadSpec, check_mru=False, oracle=False) -> RunReport:
     """Simulate one policy, seeded with spec.seed, over one workload and aggregate the ledger.
 
-    check_mru counts requests that leave the tree not MRU; oracle attaches the exact optimum.
+    Requests are served chunk by chunk from stream(spec), so memory does not
+    grow with their count; m is the number served.  Two runs hold their whole
+    sequence: oracle runs, which attach the exact optimum and take at most 12
+    requests, and static-mfu on a trace, whose frequencies are the trace's own
+    item counts, so it is read once.  check_mru counts requests that leave the
+    tree not MRU.
     """
     if algo not in POLICY_KINDS:
         raise ValueError(f"unknown policy {algo!r}")
-    items = generate(spec)
+    whole = oracle or (algo == "static-mfu" and spec.kind == "trace")
+    if oracle:
+        # a drawn workload's length is its spec's m, checked before any request is drawn
+        check_supported(spec.n, 0 if spec.kind == "trace" else spec.m)
+    items = generate(spec) if whole else None
+    if oracle:
+        check_supported(spec.n, len(items))
     freq = None
     if algo == "static-mfu":
-        # a trace's frequencies are its own item counts, so count the requests already read
         freq = _item_frequencies(items, spec.n) if spec.kind == "trace" else workload_frequencies(spec)
     policy = Policy(algo, spec.n, seed=spec.seed, freq=freq)
     if oracle:
-        check_supported(spec.n, len(items))
         init_layout = tuple(int(g) for g in policy.tree.guest)
     violations = 0 if check_mru else None
-    for v in memoryview(items):  # plain ints, with no copy of the array
-        policy.serve(v)
-        if check_mru and not is_mru(policy.tree, policy.ranks):
-            violations += 1
+    m = 0
+    for chunk in (items,) if whole else stream(spec):
+        m += len(chunk)
+        for v in memoryview(chunk):  # plain ints, with no copy of the array
+            policy.serve(v)
+            if check_mru and not is_mru(policy.tree, policy.ranks):
+                violations += 1
     ws = policy.ws.total
     led = policy.ledger
     return RunReport(
         policy=algo,
         workload=spec.describe(),
         n=spec.n,
-        m=len(items),
+        m=m,
         seed=spec.seed,
         access_total=led.access_total,
         adjust_total=led.adjust_total,
@@ -108,7 +121,8 @@ def random_push_rank_stats(n, m, seeds, warmup=0):
     # plain lists: integer sums, exact as float64 in the arrays returned
     depth_sum, depth_cnt, w_sum, w_cnt = ([0] * (n + 1) for _ in range(4))
     for seed in seeds:
-        items = generate(WorkloadSpec(kind="uniform", n=n, m=m, seed=int(seed)))
+        spec = WorkloadSpec(kind="uniform", n=n, m=m, seed=int(seed))
+        requests = chain.from_iterable(map(memoryview, stream(spec)))  # plain ints, a chunk at a time
         policy = Policy("random-push", n, seed=int(seed))
         # suf[d] = requests so far whose access depth exceeded d; an item's deeper-request
         # count is acc[v] plus the suf growth at its current depth since base[v] was set
@@ -117,7 +131,7 @@ def random_push_rank_stats(n, m, seeds, warmup=0):
         acc = [0] * n
         seen = bytearray(n)
         guest = policy.tree._gv
-        for step, u in enumerate(items.tolist()):
+        for step, u in enumerate(requests):
             k, _, r, path = policy.serve(u)
             if step >= warmup:
                 depth_sum[r] += k

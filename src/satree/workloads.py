@@ -59,41 +59,98 @@ def zipf_frequencies(n, alpha) -> np.ndarray:
     return weights / weights.sum()
 
 
+# requests per chunk of a stream: 2^14 int64 ids are 128 KiB; serving took the same time per request
+# at 2^10 to 2^18, and peak RSS grew above 2^14
+CHUNK = 1 << 14
+
+
+def stream(spec: WorkloadSpec):
+    """Realize a workload spec as int64 arrays of item ids, at most CHUNK requests each, in order.
+
+    Only the chunk in hand is held, so memory does not grow with the request
+    count.  Uniform and zipf draw each chunk from one default_rng(spec.seed),
+    and the chunks concatenate to the draw of all m requests at once (a test
+    checks this, as NEP 19 does not promise it across numpy versions); cyclic
+    workloads and traces ignore the seed.  A trace is read a block of lines
+    at a time, and a block of only comments and blanks yields nothing.
+    """
+    chunk = CHUNK
+    if spec.kind == "trace":
+        yield from _trace_chunks(spec.path, spec.n, chunk)
+        return
+    if spec.kind == "zipf":
+        cum = zipf_frequencies(spec.n, spec.alpha).cumsum()
+    if spec.kind != "cyclic":
+        rng = np.random.default_rng(spec.seed)
+    for lo in range(0, spec.m, chunk):
+        hi = min(lo + chunk, spec.m)
+        if spec.kind == "cyclic":
+            yield np.arange(lo, hi, dtype=np.int64) % spec.subset_size
+        elif spec.kind == "uniform":
+            yield rng.integers(0, spec.n, size=hi - lo)
+        else:  # zipf via inverse CDF over exact cumulative weights
+            items = np.searchsorted(cum, rng.random(hi - lo), side="right")
+            yield np.minimum(items, spec.n - 1).astype(np.int64, copy=False)
+
+
+def _joined(chunks) -> np.ndarray:
+    # grown in place and returned as a view, so the chunks and a second whole copy never coexist
+    items = array("q")
+    for chunk in chunks:
+        items.frombytes(memoryview(chunk).cast("B"))
+    return np.frombuffer(items, dtype=np.int64)
+
+
 def generate(spec: WorkloadSpec) -> np.ndarray:
-    """Realize a workload spec as a 1-d int64 array of item ids; only traces ignore the seed."""
+    """The whole of stream(spec) as one 1-d int64 array; a trace comes from read_trace.
+
+    It holds every request, so it is for callers that need the whole
+    sequence at once; a simulation that serves requests in order takes
+    stream(spec) instead.
+    """
     if spec.kind == "trace":
         return read_trace(spec.path, spec.n)
-    if spec.kind == "cyclic":
-        return np.arange(spec.m, dtype=np.int64) % spec.subset_size
-    rng = np.random.default_rng(spec.seed)
-    if spec.kind == "uniform":
-        return rng.integers(0, spec.n, size=spec.m)
-    # zipf via inverse CDF over exact cumulative weights
-    cum = zipf_frequencies(spec.n, spec.alpha).cumsum()
-    items = np.searchsorted(cum, rng.random(spec.m), side="right")
-    return np.minimum(items, spec.n - 1).astype(np.int64, copy=False)
+    return _joined(stream(spec))
 
 
 def read_trace(path, n) -> np.ndarray:
-    """One decimal item id per line as an int64 array; '#' lines are comments, blanks skipped.
+    """One decimal item id per line, as one int64 array: the whole of a trace workload's stream.
 
-    An id is ASCII digits only: no sign, underscore or non-ASCII digit.  The
-    lines are read as bytes, for which isdigit() is exactly that test, so
-    nothing is decoded.
+    '#' lines are comments and blank lines are skipped.  An id is ASCII
+    digits only: no sign, underscore or non-ASCII digit.  A bad line raises
+    ValueError naming path:line.
     """
-    # grown in place and returned as a view, so a list and an array never coexist in memory;
-    # its append is bound once, since an array append costs more per call than a list's
-    items = array("q")
-    append = items.append
+    return _joined(_trace_chunks(path, n, CHUNK))
+
+
+def _trace_chunks(path, n, chunk):
+    """The ids of a trace file, parsed a block of lines at a time, as int64 arrays of at most chunk ids.
+
+    A block is the next chunk bytes read whole, completed to the end of their
+    last line; every id line but a file's last ends in a newline, so a block
+    holds at most chunk // 2 + 1 <= chunk ids with no count per line.  The
+    lines are split off in one bytes.split, which costs less than reading
+    them one by one; they are bytes, for which isdigit() is exactly the ASCII
+    digit test, so nothing is decoded.
+    """
+    lineno = 0
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line[0] == 35:  # ord("#")
-                continue
-            if not line.isdigit():
-                raise ValueError(f"{path}:{lineno}: not a decimal item id: {line.decode(errors='replace')!r}")
-            v = int(line)
-            if v >= n:
-                raise ValueError(f"{path}:{lineno}: item id {v} out of range for n={n}")
-            append(v)
-    return np.frombuffer(items, dtype=np.int64)
+        while block := fh.read(chunk) + fh.readline():
+            lines = block.split(b"\n")
+            if not lines[-1]:  # the block ends in a newline, not in a last line without one
+                del lines[-1]
+            # an array append costs more per call than a list's, so it is bound once
+            items = array("q")
+            append = items.append
+            for lineno, raw in enumerate(lines, start=lineno + 1):
+                line = raw.strip()
+                if not line or line[0] == 35:  # ord("#")
+                    continue
+                if not line.isdigit():
+                    raise ValueError(f"{path}:{lineno}: not a decimal item id: {line.decode(errors='replace')!r}")
+                v = int(line)
+                if v >= n:
+                    raise ValueError(f"{path}:{lineno}: item id {v} out of range for n={n}")
+                append(v)
+            if items:
+                yield np.frombuffer(items, dtype=np.int64)

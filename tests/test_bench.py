@@ -47,12 +47,32 @@ def test_oracle_refused_for_large_trees():
 
 
 def test_oracle_refuses_long_runs_before_simulating(monkeypatch):
-    def serve(self, u):
-        raise AssertionError("a request was served")
+    import satree.bench as bench
+    import satree.workloads as workloads
 
-    monkeypatch.setattr(Policy, "serve", serve)
-    with pytest.raises(ValueError, match="at most 8 requests supported for n=7"):
-        run("move-half", WorkloadSpec(kind="uniform", n=7, m=200000), oracle=True)
+    def entered(*args, **kwargs):
+        raise AssertionError("a request was drawn or served")
+
+    monkeypatch.setattr(Policy, "serve", entered)
+    for module in (bench, workloads):
+        monkeypatch.setattr(module, "stream", entered)
+    monkeypatch.setattr(bench, "generate", entered)
+    for kind in ("uniform", "zipf", "cyclic"):
+        with pytest.raises(ValueError, match="at most 8 requests supported for n=7"):
+            run("move-half", WorkloadSpec(kind=kind, n=7, m=200000), oracle=True)
+
+
+@pytest.mark.parametrize("lines, refused", [(12, False), (13, True)])
+def test_oracle_on_a_trace_checks_its_length(tmp_path, lines, refused):
+    path = tmp_path / "requests.trace"
+    path.write_text("# at most 12 requests at n=3\n" + "2\n1\n0\n" * (lines // 3) + "2\n" * (lines % 3))
+    spec = WorkloadSpec(kind="trace", n=3, m=1000, path=str(path))
+    if refused:
+        with pytest.raises(ValueError, match="at most 12 requests supported for n=3"):
+            run("move-half", spec, oracle=True)
+    else:
+        rep = run("move-half", spec, oracle=True)
+        assert rep.m == lines and rep.cost_total >= rep.opt_cost
 
 
 def test_static_mfu_reads_its_trace_once(tmp_path, monkeypatch):

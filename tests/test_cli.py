@@ -2,15 +2,20 @@
 
 import csv
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import satree
 from satree import Policy
 from satree.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = str(Path(satree.__file__).resolve().parent.parent)
 
 
 def read_csv(path):
@@ -89,6 +94,45 @@ def test_trace_workload(tmp_path):
     assert rc == 0
     (rep,) = read_csv(out)
     assert rep["m"] == "3"
+
+
+def test_a_bad_last_chunk_of_a_trace_fails_with_one_line_and_no_report(tmp_path, monkeypatch, capsys):
+    import satree.workloads as workloads
+
+    trace = tmp_path / "t.txt"
+    trace.write_text("# header\n" + "0\n2\n\n1\n" * 20 + "# last block\n1\nnope\n")
+    monkeypatch.setattr(workloads, "CHUNK", 8)
+    served = []
+    serve = Policy.serve
+    monkeypatch.setattr(Policy, "serve", lambda self, u: served.append(u) or serve(self, u))
+    rc = main(["run", "--algo", "move-half", "--n", "3", "--workload", "trace", "--trace", str(trace)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == f"satree: {trace}:84: not a decimal item id: 'nope'\n"
+    # every chunk before the last was served; the last, "1\nnope\n", failed as it was parsed
+    assert served == [0, 2, 1] * 20
+
+
+def test_run_memory_does_not_grow_with_the_request_count():
+    # each child reports its own peak RSS (VmHWM, which starts afresh at exec), so the
+    # difference is what a million requests hold beyond ten thousand, not the parent's heap
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    code = ("import contextlib, io, sys\n"
+            "from satree.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = main(sys.argv[1:])\n"
+            "hwm = [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
+            "print(rc, *hwm)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    peak_kb = {}
+    for m in (10**4, 10**6):
+        argv = ["run", "--algo", "fixed", "--n", "255", "--workload", "zipf", "--m", str(m)]
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout.split()
+        assert out[0] == "0"
+        peak_kb[m] = int(out[1])
+    assert peak_kb[10**6] - peak_kb[10**4] < 3 * 1024, peak_kb
 
 
 @pytest.mark.parametrize("command", ["run", "matrix"])

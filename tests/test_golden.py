@@ -10,14 +10,19 @@ and say in the change's notes why the outputs moved.
 
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
+import satree.workloads as workloads
 from satree.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+# the reports print the trace path as given, so it is relative to ROOT, the directory the commands run in
+TRACE = "tests/data/chunked.trace"
 
 COMMANDS = {
     "run-random-push-zipf": "run --algo random-push --n 255 --workload zipf --m 20000 --seed 3 --format json",
@@ -26,6 +31,8 @@ COMMANDS = {
     "depth-stats": "depth-stats --n 63 --m 4000 --seeds 1,2,3",
     "run-max-push-large": "run --algo max-push --n 131071 --workload zipf --m 5000 --check-mru",
     "oracle-check": "oracle-check --algo random-push --n 7 --m 6 --seed 4",
+    "run-move-half-trace": f"run --algo move-half --n 63 --workload trace --trace {TRACE} --check-mru",
+    "run-static-mfu-trace": f"run --algo static-mfu --n 63 --workload trace --trace {TRACE} --format json",
 }
 
 
@@ -40,11 +47,22 @@ def stdout_of(argv) -> bytes:
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_output_matches_golden_file(name):
+def test_output_matches_golden_file(name, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert stdout_of(COMMANDS[name]) == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["matrix-check-mru", "run-move-half-trace"])
+def test_output_does_not_depend_on_the_chunk_size(name, monkeypatch):
+    # workloads are drawn and traces read in chunks; chunks of 7 requests (a trace's blocks
+    # of 7 bytes) put thousands of chunk boundaries inside each run
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(workloads, "CHUNK", 7)
     assert stdout_of(COMMANDS[name]) == (GOLDEN / f"{name}.out").read_bytes()
 
 
 if __name__ == "__main__":
+    os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in COMMANDS.items():
         (GOLDEN / f"{name}.out").write_bytes(stdout_of(argv))

@@ -5,7 +5,9 @@ import collections
 import numpy as np
 import pytest
 
+import satree.workloads as workloads
 from satree import WorkloadSpec, generate, read_trace, zipf_frequencies
+from satree.workloads import stream
 
 
 def test_cyclic_sequence():
@@ -101,3 +103,71 @@ def test_generate_returns_an_int64_array(tmp_path, kind, m):
     assert isinstance(seq, np.ndarray)
     assert (seq.ndim, seq.dtype, len(seq)) == (1, np.int64, m)
     assert ((0 <= seq) & (seq < 7)).all()
+
+
+def whole_draw(spec):
+    """The workload as one array, drawn whole: the rule stream must reproduce chunk by chunk."""
+    if spec.kind == "cyclic":
+        return np.arange(spec.m, dtype=np.int64) % spec.subset_size
+    rng = np.random.default_rng(spec.seed)
+    if spec.kind == "uniform":
+        return rng.integers(0, spec.n, size=spec.m)
+    cum = zipf_frequencies(spec.n, spec.alpha).cumsum()
+    return np.minimum(np.searchsorted(cum, rng.random(spec.m), side="right"), spec.n - 1)
+
+
+def trace_lines(m, seed):
+    """m ids over n = 7 with comments, blank and padded lines between them, and the ids alone.
+
+    For an odd seed the file's last line has no newline.
+    """
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, 7, size=m).tolist()
+    junk = [b"# comment\n", b"\n", b"  \n"]
+    lines = [b"# header\n"]
+    for v in ids:
+        if rng.random() < 0.3:
+            lines.append(junk[rng.integers(3)])
+        lines.append(b" %d \n" % v if rng.random() < 0.1 else b"%d\n" % v)
+    text = b"".join(lines)
+    return text[:-1] if seed % 2 else text, ids
+
+
+@pytest.mark.parametrize("chunk", [1, 7, workloads.CHUNK])
+@pytest.mark.parametrize("kind", ["uniform", "zipf", "cyclic", "trace"])
+@pytest.mark.parametrize("seed", [0, 9])
+def test_stream_concatenates_to_the_whole_draw(tmp_path, monkeypatch, kind, seed, chunk):
+    # NEP 19 does not promise that chunked draws concatenate to the whole draw on every numpy
+    monkeypatch.setattr(workloads, "CHUNK", chunk)
+    path = tmp_path / "trace.txt"
+    for m in (0, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        text, ids = trace_lines(m, seed)
+        path.write_bytes(text)
+        spec = WorkloadSpec(kind=kind, n=7, m=m, alpha=1.3, subset_size=5, path=str(path), seed=seed)
+        chunks = list(stream(spec))
+        for c in chunks:
+            assert (type(c), c.ndim, c.dtype) == (np.ndarray, 1, np.int64)
+            assert 1 <= len(c) <= chunk
+        whole = np.array(ids, dtype=np.int64) if kind == "trace" else whole_draw(spec)
+        assert len(whole) == m
+        for seq in (np.concatenate([whole[:0], *chunks]), generate(spec)):
+            assert seq.dtype == np.int64 and seq.tobytes() == whole.tobytes()
+        if kind == "trace":
+            assert read_trace(path, 7).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("bad, message", [(b"x7", "not a decimal item id: 'x7'"),
+                                          (b"7", "item id 7 out of range for n=7")])
+def test_trace_error_right_after_a_chunk_boundary_names_its_line(tmp_path, monkeypatch, bad, message):
+    # a block is CHUNK bytes completed to the end of their last line, so a CHUNK one byte
+    # short of the prefix ends the first block exactly where the prefix ends
+    prefix = b"# header\n0\n\n6\n# comments and blanks before the bad line\n   \n\n"
+    path = tmp_path / "trace.txt"
+    path.write_bytes(prefix + bad + b"\n2\n")
+    monkeypatch.setattr(workloads, "CHUNK", len(prefix) - 1)
+    chunks = stream(WorkloadSpec(kind="trace", n=7, path=str(path)))
+    assert next(chunks).tolist() == [0, 6]
+    lineno = prefix.count(b"\n") + 1
+    with pytest.raises(ValueError) as err:
+        next(chunks)
+    assert str(err.value) == f"{path}:{lineno}: {message}"

@@ -11,7 +11,7 @@ from itertools import chain
 import numpy as np
 
 from .oracle import check_supported, opt_cost
-from .policies import POLICY_KINDS, Policy
+from .policies import Policy
 from .workloads import WorkloadSpec, generate, stream, zipf_frequencies
 from .workset import is_mru
 
@@ -56,31 +56,30 @@ def run(algo, spec: WorkloadSpec, check_mru=False, oracle=False) -> RunReport:
     """Simulate one policy, seeded with spec.seed, over one workload and aggregate the ledger.
 
     Requests are served chunk by chunk from stream(spec), so memory does not
-    grow with their count; m is the number served.  Two runs hold their whole
-    sequence: oracle runs, which attach the exact optimum and take at most 12
-    requests, and static-mfu on a trace, whose frequencies are the trace's own
-    item counts, so it is read once.  check_mru counts requests that leave the
-    tree not MRU.
+    grow with their count; m is the number served.  Only static-mfu on a trace
+    holds its whole sequence: its frequencies are the trace's own item counts,
+    so the trace is read once.  An oracle run attaches the exact optimum of
+    the requests served, at most 12, and is refused before the chunk that
+    would exceed them.  check_mru counts requests that leave the tree not MRU.
     """
-    if algo not in POLICY_KINDS:
-        raise ValueError(f"unknown policy {algo!r}")
-    whole = oracle or (algo == "static-mfu" and spec.kind == "trace")
     if oracle:
         # a drawn workload's length is its spec's m, checked before any request is drawn
         check_supported(spec.n, 0 if spec.kind == "trace" else spec.m)
-    items = generate(spec) if whole else None
-    if oracle:
-        check_supported(spec.n, len(items))
+        served = []
+    items = generate(spec) if algo == "static-mfu" and spec.kind == "trace" else None
     freq = None
     if algo == "static-mfu":
-        freq = _item_frequencies(items, spec.n) if spec.kind == "trace" else workload_frequencies(spec)
+        freq = workload_frequencies(spec) if items is None else _item_frequencies(items, spec.n)
     policy = Policy(algo, spec.n, seed=spec.seed, freq=freq)
     if oracle:
         init_layout = tuple(int(g) for g in policy.tree.guest)
     violations = 0 if check_mru else None
     m = 0
-    for chunk in (items,) if whole else stream(spec):
+    for chunk in stream(spec) if items is None else (items,):
         m += len(chunk)
+        if oracle:
+            check_supported(spec.n, m)
+            served += chunk.tolist()
         for v in memoryview(chunk):  # plain ints, with no copy of the array
             policy.serve(v)
             if check_mru and not is_mru(policy.tree, policy.ranks):
@@ -101,7 +100,7 @@ def run(algo, spec: WorkloadSpec, check_mru=False, oracle=False) -> RunReport:
         # item starts at the root and costs nothing there, so WS = 0 implies cost = 0
         ratio_cost_over_ws=led.cost_total / ws if ws else 0.0,
         mru_violations=violations,
-        opt_cost=opt_cost(items, init_layout) if oracle else None,
+        opt_cost=opt_cost(served, init_layout) if oracle else None,
     )
 
 
@@ -115,15 +114,15 @@ def random_push_rank_stats(n, m, seeds, warmup=0):
     counts (int64), n + 1 entries each indexed by rank, summed over all
     seeds, skipping the first `warmup` requests of each run.
     """
-    seeds = list(seeds)
-    if not seeds:
+    # every seed's spec is checked before the first request is drawn
+    specs = [WorkloadSpec(kind="uniform", n=n, m=m, seed=seed) for seed in seeds]
+    if not specs:
         raise ValueError("need at least one seed")
     # plain lists: integer sums, exact as float64 in the arrays returned
     depth_sum, depth_cnt, w_sum, w_cnt = ([0] * (n + 1) for _ in range(4))
-    for seed in seeds:
-        spec = WorkloadSpec(kind="uniform", n=n, m=m, seed=int(seed))
+    for spec in specs:
         requests = chain.from_iterable(map(memoryview, stream(spec)))  # plain ints, a chunk at a time
-        policy = Policy("random-push", n, seed=int(seed))
+        policy = Policy("random-push", n, seed=spec.seed)
         # suf[d] = requests so far whose access depth exceeded d; an item's deeper-request
         # count is acc[v] plus the suf growth at its current depth since base[v] was set
         suf = [0] * (policy.tree.num_levels + 1)

@@ -13,8 +13,7 @@ from .bench import emit, random_push_rank_stats, run
 from .markov import binomial_identity, concavity_check, expected_state_curve
 from .oracle import check_supported, opt_cost
 from .policies import POLICY_KINDS, Policy
-from .tree import _exact_int
-from .workloads import WorkloadSpec
+from .workloads import WorkloadSpec, generate
 
 
 # every option a subcommand may take; each subcommand takes only the ones it reads
@@ -148,20 +147,19 @@ def _cmd_oracle_check(args):
     online = [kind for kind in POLICY_KINDS if kind != "static-mfu"]  # static-mfu needs frequencies
     if args.algo not in online:
         raise ValueError(f"oracle-check takes an online policy ({', '.join(online)}), got {args.algo!r}")
-    _exact_int(args.seed, "seed")
     m = _request_count(args)
     check_supported(args.n, m)
+    # checks --seed for both kinds of run; the random sequences are its 100 * m draws, m to a row
+    spec = WorkloadSpec(kind="uniform", n=args.n, m=100 * m, seed=args.seed)
     if args.n == 3 and m <= 6:
         sequences = itertools.product(range(args.n), repeat=m)
     else:
-        rng = np.random.default_rng(args.seed)
-        sequences = (rng.integers(0, args.n, size=m).tolist() for _ in range(100))
+        sequences = generate(spec).reshape(100, m).tolist()
     init = tuple(range(args.n))
     worst = 0.0
     floor_violations = 0
     count = 0
     for seq in sequences:
-        seq = list(seq)
         policy = Policy(args.algo, args.n, seed=args.seed)
         for v in seq:
             policy.serve(v)

@@ -7,7 +7,7 @@ import operator
 
 import numpy as np
 
-from .tree import CostLedger, TreeState, _exact_int, interchange, is_complete_size, tree_distance
+from .tree import CostLedger, TreeState, _exact_int, interchange, tree_distance
 from .workset import RankTable, WsAccumulator, max_rank_item_at_depth
 
 POLICY_KINDS = ("move-half", "random-push", "max-push", "static-mfu", "fixed")
@@ -32,13 +32,9 @@ def _check_freq(freq, n):
 
 def build_static_mfu(freq) -> TreeState:
     """Place items top-down, left-to-right in descending frequency (ties by item id)."""
-    freq = np.asarray(freq, dtype=np.float64)
-    n = freq.shape[0]
-    if not is_complete_size(n):
-        raise ValueError(f"item count must be 2^d - 1 for d >= 1, got {n}")
-    freq = _check_freq(freq, n)
-    # a stable sort keeps equal frequencies in item id order
-    return TreeState(n, guests=np.argsort(-freq, kind="stable"))
+    freq = _check_freq(freq, np.size(freq))
+    # a stable sort keeps equal frequencies in item id order; TreeState checks the size
+    return TreeState(len(freq), guests=np.argsort(-freq, kind="stable"))
 
 
 def expected_path_length(t: TreeState, freq) -> float:
@@ -162,6 +158,8 @@ class Policy:
     def __init__(self, kind, n, seed=None, freq=None):
         if kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {kind!r}")
+        if seed is not None:
+            seed = _exact_int(seed, "seed")
         self.kind = kind
         self._adjust = _ADJUST[kind]
         self._factor = _COST_FACTOR.get(kind)

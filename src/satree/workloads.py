@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from array import array
 from dataclasses import dataclass
 
@@ -23,17 +24,20 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self):
+        """Refuse a bad field with ValueError; n, m, seed and a cyclic subset size become plain ints."""
         if self.kind not in WORKLOAD_KINDS:
             raise ValueError(f"unknown workload kind {self.kind!r}")
-        if _exact_int(self.n, "item count") < 1:
+        self.n = _exact_int(self.n, "item count")
+        if self.n < 1:
             raise ValueError(f"item count must be at least 1, got {self.n}")
-        _exact_int(self.seed, "seed")
-        if self.m < 0:
-            raise ValueError("request count must be >= 0")
+        self.seed = _exact_int(self.seed, "seed")
+        self.m = _exact_int(self.m, "request count")
         if self.kind == "zipf":
             _check_alpha(self.alpha)
-        if self.kind == "cyclic" and not 1 <= self.subset_size <= self.n:
-            raise ValueError("cyclic subset size must lie in [1, n]")
+        if self.kind == "cyclic":
+            self.subset_size = _exact_int(self.subset_size, "cyclic subset size")
+            if not 1 <= self.subset_size <= self.n:
+                raise ValueError("cyclic subset size must lie in [1, n]")
         if self.kind == "trace" and not self.path:
             raise ValueError("trace workload needs a file path")
 
@@ -48,7 +52,7 @@ class WorkloadSpec:
 
 
 def _check_alpha(alpha):
-    if not 0 <= alpha < np.inf:
+    if not (isinstance(alpha, numbers.Real) and 0 <= alpha < np.inf):
         raise ValueError(f"zipf exponent must be finite and >= 0, got {alpha!r}")
 
 

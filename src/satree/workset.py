@@ -153,17 +153,12 @@ def max_rank_item_at_depth(rt: RankTable, t: TreeState, lvl) -> int:
     return t._gv[lo + int(rt._stamps[t._guest[lo:2 * lo + 1]].argmin())]
 
 
-def _level_minima(t: TreeState, st) -> tuple[np.ndarray, bool]:
-    """Per-level minima of st (stamps by server) and whether the layout is MRU.
-
-    With distinct stamps every item sits at depth floor(log2(rank)) exactly
-    when each level's oldest stamp is newer than the newest one level deeper.
-    """
-    mins = np.minimum.reduceat(st, t.level_starts)
-    deeper_max = np.maximum.reduceat(st, t.level_starts[1:])
-    return mins, bool((mins[:-1] > deeper_max).all())
-
-
 def is_mru(t: TreeState, rt: RankTable) -> bool:
-    """True iff every item sits at depth floor(log2(rank))."""
-    return _level_minima(t, rt.stamps[t.guest])[1]
+    """True iff every item sits at depth floor(log2(rank)).
+
+    With distinct stamps that holds exactly when each level's oldest stamp
+    is newer than the newest one level deeper.
+    """
+    st = rt.stamps[t.guest]
+    mins = np.minimum.reduceat(st, t.level_starts)
+    return bool((mins[:-1] > np.maximum.reduceat(st, t.level_starts[1:])).all())

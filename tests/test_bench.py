@@ -75,6 +75,14 @@ def test_oracle_on_a_trace_checks_its_length(tmp_path, lines, refused):
         assert rep.m == lines and rep.cost_total >= rep.opt_cost
 
 
+def test_oracle_refuses_a_long_trace_before_its_bad_line(tmp_path):
+    # the length refusal comes with the first chunk, long before the parse reaches line 30 001
+    path = tmp_path / "requests.trace"
+    path.write_text("2\n1\n0\n" * 10000 + "x\n")
+    with pytest.raises(ValueError, match="at most 12 requests supported for n=3"):
+        run("move-half", WorkloadSpec(kind="trace", n=3, path=str(path)), oracle=True)
+
+
 def test_static_mfu_reads_its_trace_once(tmp_path, monkeypatch):
     import satree.workloads as workloads
 
@@ -221,3 +229,21 @@ def test_rank_stats_are_float_sums_and_integer_counts_per_rank():
 def test_rank_stats_need_a_seed():
     with pytest.raises(ValueError, match="seed"):
         random_push_rank_stats(7, 10, [])
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ([1, -2], "seed -2 out of range"), ([2.7], "seed must be an integer, got 2.7"),
+])
+def test_rank_stats_check_every_seed_before_drawing(seeds, message, monkeypatch):
+    import satree.bench as bench
+    import satree.workloads as workloads
+
+    def entered(*args, **kwargs):
+        raise AssertionError("a request was drawn or served")
+
+    monkeypatch.setattr(Policy, "serve", entered)
+    for module in (bench, workloads):
+        monkeypatch.setattr(module, "stream", entered)
+    with pytest.raises(ValueError) as exc:
+        random_push_rank_stats(255, 10**6, seeds)
+    assert str(exc.value) == message

@@ -270,6 +270,15 @@ def test_depth_stats_rejects_an_empty_seed_list(capsys):
     assert captured.err.startswith("satree:") and captured.err.count("\n") == 1
 
 
+def test_depth_stats_checks_every_seed_before_the_first_run(monkeypatch, capsys):
+    served = []
+    serve = Policy.serve
+    monkeypatch.setattr(Policy, "serve", lambda self, u: served.append(u) or serve(self, u))
+    assert main(["depth-stats", "--n", "255", "--m", "200000", "--seeds", "1,-2"]) == 2
+    assert served == []
+    assert capsys.readouterr() == ("", "satree: seed -2 out of range\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["oracle-check", "--n", "7", "--m", "6", "--seed", "-1"], "seed -1 out of range"),
     (["oracle-check", "--n", "3", "--algo", "static-mfu"],

@@ -262,6 +262,10 @@ def test_static_mfu_validation():
         build_static_mfu([0.5, 0.4, 0.2])  # sums above 1
     with pytest.raises(ValueError):
         build_static_mfu([1.5, -0.3, -0.2])
+    with pytest.raises(ValueError, match="one frequency per item"):
+        build_static_mfu(0.5)
+    with pytest.raises(ValueError, match="one frequency per item"):
+        Policy("static-mfu", 3, freq=0.5)
 
 
 @pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [1.0, np.nan, 0.0]])
@@ -273,6 +277,16 @@ def test_static_mfu_rejects_non_finite_frequencies(bad):
         Policy("static-mfu", 3, freq=bad)
     with pytest.raises(ValueError, match="finite"):
         expected_path_length(TreeState(3), bad)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed -1 out of range"), (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"),
+])
+def test_policy_seed_is_an_exact_non_negative_integer(seed, message):
+    with pytest.raises(ValueError) as exc:
+        Policy("random-push", 7, seed=seed)
+    assert str(exc.value) == message
 
 
 def test_static_mfu_order_matches_sort_rule():
@@ -331,21 +345,6 @@ def snapshot(p):
 
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)
-def test_rejected_request_changes_nothing(kind):
-    n = 15
-    p = make_policy(kind, n)
-    for v in (7, 3, 12, 7, 0):
-        p.serve(v)
-    before = snapshot(p)
-    for bad in (3.7, -1, n, "3"):
-        with pytest.raises(ValueError):
-            p.serve(bad)
-        assert snapshot(p) == before, bad
-    p.serve(np.int64(3))  # numpy integers are exact integers
-    assert snapshot(p) != before
-
-
-@pytest.mark.parametrize("kind", POLICY_KINDS)
 def test_tree_and_ranks_cannot_be_rebound(kind):
     p = make_policy(kind, 15)
     for v in (7, 3, 12):
@@ -356,28 +355,6 @@ def test_tree_and_ranks_cannot_be_rebound(kind):
     with pytest.raises(AttributeError):
         p.ranks = RankTable(15)
     assert p.tree is t and p.ranks is rt and snapshot(p) == before
-
-
-@pytest.mark.parametrize("kind", POLICY_KINDS)
-@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
-def test_bool_requests_are_refused_and_change_nothing(kind, flag):
-    # bool is an int subclass in Python, but no item id: both kinds of bool are refused alike
-    p = make_policy(kind, 15)
-    for v in (7, 3, 12):
-        p.serve(v)
-    before = snapshot(p)
-    with pytest.raises(ValueError, match="item id must be an integer"):
-        p.serve(flag)
-    assert snapshot(p) == before
-
-
-def test_max_push_rejection_changes_nothing():
-    p = Policy("max-push", 7)
-    lay_out(p.tree, [6, 1, 2, 3, 4, 5, 0])
-    before = snapshot(p)
-    with pytest.raises(ValueError, match="MRU"):
-        p.serve(3)
-    assert snapshot(p) == before
 
 
 def test_cost_bound_is_checked_on_every_request(monkeypatch):

@@ -1,9 +1,12 @@
 """Workload generation determinism and trace parsing."""
 
 import collections
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import satree.workloads as workloads
 from satree import WorkloadSpec, generate, read_trace, zipf_frequencies
@@ -52,6 +55,30 @@ def test_spec_validation():
         WorkloadSpec(kind="trace", n=7, m=10)
     with pytest.raises(ValueError):
         WorkloadSpec(kind="uniform", n=7, m=-1)
+
+
+# every numeric field of a spec is drawn from small integers, negatives and every kind of non-integer
+FIELD = st.integers(-2, 9) | st.sampled_from(
+    [2.5, 3.0, math.nan, True, False, None, "3", np.int64(3), np.uint64(5), np.float64(2.0), np.True_])
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(["uniform", "zipf", "cyclic"]), n=FIELD, m=FIELD, seed=FIELD,
+       subset_size=FIELD, alpha=FIELD)
+# a float or unsigned cyclic subset size makes `arange % size` float64; random draws rarely reach these
+@example(kind="cyclic", n=7, m=4, seed=0, subset_size=2.5, alpha=1.0)
+@example(kind="cyclic", n=7, m=4, seed=0, subset_size=3.0, alpha=1.0)
+@example(kind="cyclic", n=7, m=4, seed=0, subset_size=np.uint64(5), alpha=1.0)
+def test_a_spec_is_refused_or_streams_item_ids(kind, n, m, seed, subset_size, alpha):
+    try:
+        spec = WorkloadSpec(kind=kind, n=n, m=m, seed=seed, subset_size=subset_size, alpha=alpha)
+    except ValueError:
+        return
+    chunks = list(stream(spec))
+    for chunk in chunks:
+        assert (chunk.ndim, chunk.dtype) == (1, np.int64)
+        assert ((0 <= chunk) & (chunk < spec.n)).all()
+    assert sum(map(len, chunks)) == spec.m
 
 
 def test_read_trace_basic(tmp_path):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +57,7 @@ def _runs(args, algos, workloads):
         spec = WorkloadSpec(kind=workload, n=args.n, m=_request_count(args), alpha=args.alpha,
                             subset_size=args.subset, path=args.trace, seed=args.seed + idx)
         if algo not in POLICY_KINDS:
-            raise ValueError(f"unknown policy {algo!r}")
+            raise ValueError(f"unknown policy kind {algo!r}")
         runs.append((algo, spec))
     return runs
 
@@ -149,12 +149,12 @@ def _cmd_oracle_check(args):
         raise ValueError(f"oracle-check takes an online policy ({', '.join(online)}), got {args.algo!r}")
     m = _request_count(args)
     check_supported(args.n, m)
-    # checks --seed for both kinds of run; the random sequences are its 100 * m draws, m to a row
-    spec = WorkloadSpec(kind="uniform", n=args.n, m=100 * m, seed=args.seed)
+    # checks --m and --seed for both kinds of run; the random sequences are 100 * m draws, m to a row
+    spec = WorkloadSpec(kind="uniform", n=args.n, m=m, seed=args.seed)
     if args.n == 3 and m <= 6:
         sequences = itertools.product(range(args.n), repeat=m)
     else:
-        sequences = generate(spec).reshape(100, m).tolist()
+        sequences = generate(replace(spec, m=100 * m)).reshape(100, m).tolist()
     init = tuple(range(args.n))
     worst = 0.0
     floor_violations = 0

@@ -1,7 +1,8 @@
 """Exact offline optimum on tiny trees by dynamic programming over all layouts.
 
 opt_cost relaxes one layout's cost vector over the swap graph of all n!
-layouts; check_supported is the one rule on n and the request count.
+layouts; check_supported is the one rule on n and the request count, and
+the start layout takes the tree's permutation rule.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tree import _exact_int, depth, parent
+from .tree import _exact_int, _permutation, depth, parent
 
 ORACLE_SIZES = (3, 7)
 MAX_REQUESTS = {3: 12, 7: 8}
@@ -20,11 +21,9 @@ _INF = np.int64(1) << 40
 
 
 def check_supported(n, m):
-    """Refuse an oracle run the exact optimum cannot handle: n items, m requests."""
+    """Refuse an oracle run the exact optimum cannot handle: n items, m >= 0 requests."""
     if n not in ORACLE_SIZES:
         raise ValueError(f"offline oracle refused for n={n}; supported sizes: {ORACLE_SIZES}")
-    if m < 0:
-        raise ValueError("request count must be >= 0")
     if m > MAX_REQUESTS[n]:
         raise ValueError(f"at most {MAX_REQUESTS[n]} requests supported for n={n}")
 
@@ -76,24 +75,15 @@ class _ConfigSpace:
 _space = lru_cache(maxsize=None)(_ConfigSpace)
 
 
-def _as_config(layout):
-    """The layout as a tuple, for an exact-integer permutation of 0..n-1; ValueError otherwise."""
-    n = len(layout)
-    config = tuple(_exact_int(g, "item id", n) for g in layout)
-    if len(set(config)) != n:
-        raise ValueError(f"layout {config} is not a permutation of 0..{n - 1}")
-    return config
-
-
 def opt_cost(seq, init) -> int:
     """Exact offline optimum: swaps plus access depths, rearranging freely between requests.
 
     The adversary may also rearrange before the first access, which only
     strengthens it.  Tractable for n=3 (up to 12 requests) and n=7 (up to 8).
     """
-    init = _as_config(init)
     n = len(init)
     check_supported(n, len(seq))
+    init = _permutation(init, n, "start layout")
     space = _space(n)
     f = space.start(init)
     for v in seq:

@@ -69,9 +69,13 @@ def tree_distance(a, b) -> int:
 
 
 def _permutation(a, n, what) -> np.ndarray:
-    """A fresh C-contiguous int64 copy of a, if it is an integer permutation of 0..n-1; else ValueError."""
+    """A fresh C-contiguous int64 copy of a, if it is an integer permutation of 0..n-1; else ValueError.
+
+    A list or tuple with a bool or numpy.bool_ element is refused, as numpy would read it as 0 or 1.
+    """
+    bools = isinstance(a, (list, tuple)) and not {bool, _NP_BOOL}.isdisjoint(map(type, a))
     a = np.asarray(a)
-    if a.dtype.kind in "iu" and a.shape == (n,) and a.min() >= 0 and a.max() < n:
+    if not bools and a.dtype.kind in "iu" and a.shape == (n,) and a.min() >= 0 and a.max() < n:
         a = np.array(a, dtype=np.int64)
         if np.bincount(a, minlength=n).min() == 1:
             return a

@@ -52,7 +52,8 @@ class WorkloadSpec:
 
 
 def _check_alpha(alpha):
-    if not (isinstance(alpha, numbers.Real) and 0 <= alpha < np.inf):
+    # bool is a numbers.Real and numpy.bool_ is not; both are refused, as in the integer fields
+    if isinstance(alpha, bool) or not (isinstance(alpha, numbers.Real) and 0 <= alpha < np.inf):
         raise ValueError(f"zipf exponent must be finite and >= 0, got {alpha!r}")
 
 

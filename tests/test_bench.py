@@ -128,6 +128,16 @@ def test_workload_frequencies_shapes():
     assert cyc.tolist()[3:] == [0.0] * 4
 
 
+def test_workload_frequencies_of_a_trace_are_its_item_counts(tmp_path):
+    # bench.run counts a static-mfu trace itself, so that it reads the trace once; this is the public path
+    path = tmp_path / "t.trace"
+    path.write_text("# ids\n2\n0\n2\n\n6\n2\n")
+    freq = workload_frequencies(WorkloadSpec(kind="trace", n=7, path=str(path)))
+    assert freq.tolist() == [1 / 5, 0, 3 / 5, 0, 0, 0, 1 / 5]
+    path.write_text("# no requests\n\n")
+    assert workload_frequencies(WorkloadSpec(kind="trace", n=7, path=str(path))).tolist() == [1 / 7] * 7
+
+
 def test_csv_round_trip(tmp_path):
     rep = run("move-half", WorkloadSpec(kind="zipf", n=7, m=64, seed=9))
     path = tmp_path / "out.csv"

@@ -1,6 +1,8 @@
 """CLI surface: subcommands, output formats, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import shlex
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import satree
 from satree import Policy
@@ -55,10 +59,10 @@ def test_matrix_runs_every_combination(tmp_path):
 
 
 def test_unknown_policy_fails_with_diagnostic(capsys):
-    rc = main(["run", "--algo", "mystery", "--n", "7", "--m", "10"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("satree:") and err.count("\n") == 1
+    # the CLI words it as Policy does
+    for command in ("run", "matrix"):
+        assert main([command, "--algo", "mystery", "--n", "7", "--m", "10"]) == 2
+        assert capsys.readouterr() == ("", "satree: unknown policy kind 'mystery'\n")
 
 
 def test_oracle_refusal_exit_code(capsys):
@@ -199,7 +203,13 @@ def test_oracle_check_n7_output_is_pinned(capsys):
 def test_oracle_check_refuses_a_negative_request_count(n, m, capsys):
     rc = main(["oracle-check", "--n", str(n), "--m", str(m)])
     assert rc == 2
-    assert capsys.readouterr().err == "satree: request count must be >= 0\n"
+    assert capsys.readouterr().err == f"satree: request count {m} out of range\n"
+
+
+@pytest.mark.parametrize("command", ["run", "matrix", "depth-stats", "oracle-check"])
+def test_every_subcommand_words_a_negative_request_count_alike(command, capsys):
+    assert main([command, "--n", "7", "--m", "-1"]) == 2
+    assert capsys.readouterr() == ("", "satree: request count -1 out of range\n")
 
 
 def test_readme_cli_commands_parse():
@@ -290,3 +300,68 @@ def test_depth_stats_checks_every_seed_before_the_first_run(monkeypatch, capsys)
 def test_malformed_arguments_fail_with_one_line(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"satree: {message}\n")
+
+
+# each subcommand's own options; markov-check takes none, so any option it is given is a usage error
+_RUN = ("--algo", "--n", "--workload", "--m", "--alpha", "--subset", "--trace", "--seed",
+        "--out", "--format", "--check-mru", "--oracle")
+OPTIONS_OF = {
+    "run": _RUN,
+    "matrix": _RUN,
+    "depth-stats": ("--n", "--m", "--seed", "--seeds", "--out", "--format"),
+    "markov-check": ("--n", "--m", "--seed", "--out"),
+    "oracle-check": ("--algo", "--n", "--m", "--seed"),
+}
+FLAGS = ("--check-mru", "--oracle")
+# small valid and invalid values; {dir} is a directory holding t.trace, a good trace, and bad.trace
+VALUES = {
+    "--algo": st.sampled_from(["move-half", "random-push", "max-push", "fixed", "static-mfu", "fixed,move-half",
+                               "mystery", ",", ",,", ""]),
+    "--n": st.sampled_from(["0", "1", "2", "3", "7", "15", "-1", "2.5"]),
+    "--workload": st.sampled_from(["uniform", "zipf", "cyclic", "trace", "zipf,cyclic", "bursty", ",", ""]),
+    "--m": st.sampled_from(["-2", "-1", "0", "1", "6", "9", "13", "300"]),
+    "--alpha": st.sampled_from(["0", "1.5", "-1", "nan", "inf"]),
+    "--subset": st.sampled_from(["0", "1", "3", "99"]),
+    "--trace": st.sampled_from(["{dir}/t.trace", "{dir}/bad.trace", "{dir}/missing.trace"]),
+    "--seed": st.sampled_from(["0", "7", "-1", "1.5"]),
+    "--seeds": st.sampled_from(["0,1", "1,-2", "a", ",", ",,", ""]),
+    "--out": st.sampled_from(["{dir}/out.txt", "{dir}/missing/out.txt"]),
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS_OF)))
+    # a bare markov-check takes 0.2 s, and test_markov_check_passes runs it
+    names = draw(st.lists(st.sampled_from(OPTIONS_OF[command]), unique=True,
+                          min_size=1 if command == "markov-check" else 0))
+    argv = [command]
+    for name in names:
+        argv += [name] if name in FLAGS else [name, draw(VALUES[name])]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("argv")
+    (d / "t.trace").write_text("# ids\n0\n2\n\n1\n6\n")
+    (d / "bad.trace").write_text("0\n-1\n")
+    return d
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=argvs())
+def test_every_argv_exits_0_or_fails_with_one_satree_line(argv, argv_dir):
+    argv = [arg.format(dir=argv_dir) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            assert exc.code == 2
+            assert err.getvalue().startswith("usage: satree") and "Traceback" not in err.getvalue()
+            return
+    assert (rc, err.getvalue()) == (0, "") or (
+        rc == 2 and err.getvalue().startswith("satree: ") and err.getvalue().count("\n") == 1
+        and err.getvalue().endswith("\n")), (argv, rc, err.getvalue())

@@ -6,8 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from satree import Policy, opt_cost
-from satree.oracle import _INF, _ConfigSpace, _space, check_supported
+from satree import Policy, TreeState, opt_cost
+from satree.oracle import _INF, _ConfigSpace, _space
 from satree.tree import depth, parent
 
 
@@ -85,12 +85,6 @@ def test_relax_matches_the_reference_sweep(n):
             assert np.array_equal(space.relax(f), ref.relax(f))
     f = np.full(P, _INF, dtype=np.int64)
     assert np.array_equal(space.relax(f), ref.relax(f))
-
-
-@pytest.mark.parametrize("n, m", [(3, -1), (7, -2)])
-def test_check_supported_refuses_a_negative_request_count(n, m):
-    with pytest.raises(ValueError, match="request count must be >= 0"):
-        check_supported(n, m)
 
 
 # opt_cost of move-half's acceptance gate (c03): 200 sequences of 6 requests at n = 7 from default_rng(33)
@@ -188,3 +182,12 @@ def test_opt_cost_rejects_a_fractional_layout():
 def test_opt_cost_rejects_a_non_permutation():
     with pytest.raises(ValueError, match="permutation"):
         opt_cost([1], (0, 0, 1))
+
+
+@pytest.mark.parametrize("layout", [(True, 0, 2), [np.True_, 0, 2], (True, False, 2), (0, 1.0, 2), (0, 0, 1),
+                                    np.array([True, False, True])])
+def test_opt_cost_and_the_tree_refuse_the_same_layouts_alike(layout):
+    with pytest.raises(ValueError, match=r"^start layout must be an integer permutation of 0\.\.n-1$"):
+        opt_cost([1], layout)
+    with pytest.raises(ValueError, match=r"^guests must be an integer permutation of 0\.\.n-1$"):
+        TreeState(3, guests=layout)

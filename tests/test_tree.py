@@ -64,7 +64,9 @@ def test_tree_size_validation():
         TreeState(good)
     with pytest.raises(ValueError):
         TreeState(3, guests=[0, 0, 2])
-    for bad in ([0, 1.9, 2], [0.0, 1.0, 2.0], [0, 1, 3], [-1, 0, 1], [[0, 1, 2]]):
+    # numpy reads a bool in a list as 0 or 1, so [True, 0, 2] would pass for [1, 0, 2]
+    for bad in ([0, 1.9, 2], [0.0, 1.0, 2.0], [0, 1, 3], [-1, 0, 1], [[0, 1, 2]],
+                [True, 0, 2], [np.True_, 0, 2], [True, False, 2], (0, 1, np.False_)):
         with pytest.raises(ValueError, match="integer permutation"):
             TreeState(3, guests=bad)
     assert TreeState(3, guests=np.array([2, 0, 1], dtype=np.uint8)).guest.tolist() == [2, 0, 1]

@@ -51,6 +51,12 @@ def test_spec_validation():
             WorkloadSpec(kind="zipf", n=7, m=10, alpha=alpha)
         with pytest.raises(ValueError, match="finite"):
             zipf_frequencies(7, alpha)
+    # bool is a numbers.Real, and is refused as the integer fields refuse it
+    for alpha in (True, np.True_):
+        with pytest.raises(ValueError, match="zipf exponent"):
+            WorkloadSpec(kind="zipf", n=7, m=5, alpha=alpha)
+        with pytest.raises(ValueError, match="zipf exponent"):
+            zipf_frequencies(7, alpha)
     with pytest.raises(ValueError):
         WorkloadSpec(kind="trace", n=7, m=10)
     with pytest.raises(ValueError):

@@ -81,9 +81,9 @@ def opt_cost(seq, init) -> int:
     The adversary may also rearrange before the first access, which only
     strengthens it.  Tractable for n=3 (up to 12 requests) and n=7 (up to 8).
     """
+    init = _permutation(init, None, "start layout")
     n = len(init)
     check_supported(n, len(seq))
-    init = _permutation(init, n, "start layout")
     space = _space(n)
     f = space.start(init)
     for v in seq:

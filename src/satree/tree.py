@@ -71,11 +71,16 @@ def tree_distance(a, b) -> int:
 def _permutation(a, n, what) -> np.ndarray:
     """A fresh C-contiguous int64 copy of a, if it is an integer permutation of 0..n-1; else ValueError.
 
-    A list or tuple with a bool or numpy.bool_ element is refused, as numpy would read it as 0 or 1.
+    n None is a's own size.  An empty a is refused, and so are a ragged nesting, which numpy refuses
+    in its own words, and a list or tuple with a bool or numpy.bool_ element, which numpy reads as 0 or 1.
     """
     bools = isinstance(a, (list, tuple)) and not {bool, _NP_BOOL}.isdisjoint(map(type, a))
-    a = np.asarray(a)
-    if not bools and a.dtype.kind in "iu" and a.shape == (n,) and a.min() >= 0 and a.max() < n:
+    try:
+        a = np.asarray(a)
+    except ValueError:  # ragged: numpy's message would not name the rule
+        a = np.empty(0)  # refused below, as any empty a is
+    n = a.size if n is None else n
+    if not bools and a.size and a.dtype.kind in "iu" and a.shape == (n,) and a.min() >= 0 and a.max() < n:
         a = np.array(a, dtype=np.int64)
         if np.bincount(a, minlength=n).min() == 1:
             return a

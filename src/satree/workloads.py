@@ -133,14 +133,27 @@ def _trace_chunks(path, n, chunk):
 
     A block is the next chunk bytes read whole, completed to the end of their
     last line; every id line but a file's last ends in a newline, so a block
-    holds at most chunk // 2 + 1 <= chunk ids with no count per line.  The
-    lines are split off in one bytes.split, which costs less than reading
-    them one by one; they are bytes, for which isdigit() is exactly the ASCII
-    digit test, so nothing is decoded.
+    holds at most chunk // 2 + 1 <= chunk ids with no count per line.
+
+    A plain block, ASCII digits and newlines with no blank line, is parsed
+    by one numpy call, and kept when it has one id per line, all below n
+    and below the int64 maximum, at which numpy saturates a longer id.
+    Any other block is parsed line by line by the same rules, and only that
+    loop words an error: its lines are split off in one bytes.split, which
+    costs less than reading them one by one; they are bytes, for which
+    isdigit() is exactly the ASCII digit test, so nothing is decoded.
     """
     lineno = 0
     with open(path, "rb") as fh:
         while block := fh.read(chunk) + fh.readline():
+            # 10 is ord("\n"): a block that opens with a newline opens with a blank line
+            if not block.translate(None, b"0123456789\n") and block[0] != 10 and b"\n\n" not in block:
+                items = np.fromstring(block, dtype=np.int64, sep="\n")  # text mode, not deprecated
+                count = block.count(b"\n") + (block[-1] != 10)
+                if len(items) == count and items.max() < min(n, np.iinfo(np.int64).max):
+                    lineno += count
+                    yield items
+                    continue
             lines = block.split(b"\n")
             if not lines[-1]:  # the block ends in a newline, not in a last line without one
                 del lines[-1]

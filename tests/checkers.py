@@ -1,8 +1,9 @@
 """Reference checkers the tests share: the tree's bijection and the full recency order, the
-layouts the tests start from, made through the public operations, and one reference for every
-policy kind.  Each check raises explicitly, as python -O strips assert statements here."""
+layouts the tests start from, made through the public operations, one reference for every
+policy kind, and a per-line reader of traces.  Each check raises explicitly, as python -O strips assert statements here."""
 
 import math
+import re
 
 import numpy as np
 
@@ -152,3 +153,41 @@ class NumpyReference:
         self.adjust_total += adjust
         self.ws_total += math.log2(r)
         return k, adjust, r, path
+
+
+def trace_reference(data, path, n, chunk):
+    """What a trace stream of the bytes data yields, read line by line: (chunks, error).
+
+    chunks are the id lists of the blocks that hold an id, up to the block of
+    the first bad line; error is (exception type, message) for that line, or
+    None.  A block runs from where the last one ended through its first chunk
+    bytes, and on to the first newline after them, or to the end of the file.
+    A line stripped of ASCII whitespace is skipped when empty or a '#' comment;
+    otherwise it is ASCII digits, for an id below n.  An id below n that no
+    int64 holds raises OverflowError, worded by the interpreter: its message
+    is None here.
+    """
+    lines = data.split(b"\n")
+    if data.endswith(b"\n"):
+        lines.pop()
+    chunks, ids, start, end = [], [], 0, 0
+    for lineno, line in enumerate(lines, start=1):
+        if start >= end:  # this line opens a block
+            chunks.append(ids := [])
+            end = data.find(b"\n", start + chunk) + 1 or len(data)
+        start += len(line) + 1
+        body = line.strip(b" \t\n\r\x0b\x0c")
+        if not body or body.startswith(b"#"):
+            continue
+        if not re.fullmatch(rb"[0-9]+", body):
+            error = ValueError, f"{path}:{lineno}: not a decimal item id: {body.decode(errors='replace')!r}"
+        elif int(body) >= n:
+            error = ValueError, f"{path}:{lineno}: item id {int(body)} out of range for n={n}"
+        elif int(body) >= 1 << 63:
+            error = OverflowError, None
+        else:
+            ids.append(int(body))
+            continue
+        chunks.pop()
+        return [c for c in chunks if c], error
+    return [c for c in chunks if c], None

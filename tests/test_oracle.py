@@ -185,7 +185,8 @@ def test_opt_cost_rejects_a_non_permutation():
 
 
 @pytest.mark.parametrize("layout", [(True, 0, 2), [np.True_, 0, 2], (True, False, 2), (0, 1.0, 2), (0, 0, 1),
-                                    np.array([True, False, True])])
+                                    np.array([True, False, True]), ([1], 0, 1), [[1], 0, 1], 5,
+                                    np.array([], dtype=np.int64)])
 def test_opt_cost_and_the_tree_refuse_the_same_layouts_alike(layout):
     with pytest.raises(ValueError, match=r"^start layout must be an integer permutation of 0\.\.n-1$"):
         opt_cost([1], layout)

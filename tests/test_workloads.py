@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import satree.workloads as workloads
 from satree import WorkloadSpec, generate, read_trace, zipf_frequencies
 from satree.workloads import stream
+
+from checkers import trace_reference
 
 
 def test_cyclic_sequence():
@@ -204,3 +206,64 @@ def test_trace_error_right_after_a_chunk_boundary_names_its_line(tmp_path, monke
     with pytest.raises(ValueError) as err:
         next(chunks)
     assert str(err.value) == f"{path}:{lineno}: {message}"
+
+
+# a drawn trace's lines: mostly ids below n, so that whole blocks take the one-call parse, then
+# ids up to 300 for the small n, ids of 19 or more digits, with and without leading zeros, and
+# runs of the bytes a line may hold by mistake (a "\n" among them makes a blank line or splits one)
+_long_id = st.one_of(st.just(b"9223372036854775807"),
+                     st.builds(lambda zeros, v: b"0" * zeros + b"%d" % v, st.integers(0, 3),
+                               st.integers(10**18, 10**25)))
+_junk = st.lists(st.sampled_from([bytes([c]) for c in b"0123456789\n\r \t#+-_"] + ["\u0663".encode()]),
+                 max_size=5).map(b"".join)
+
+
+@st.composite
+def traces(draw, n):
+    """A trace file's bytes for n items, with or without a newline at its end."""
+    good = st.integers(0, min(n, 300) - 1).map(b"%d".__mod__)
+    lines = draw(st.one_of(st.lists(good, max_size=20),
+                           st.lists(st.one_of(good, good, good, _long_id), max_size=20),
+                           st.lists(st.one_of(good, good, good, st.integers(0, 300).map(b"%d".__mod__),
+                                              _long_id, _junk), max_size=20)))
+    return b"\n".join(lines) + draw(st.sampled_from([b"", b"\n"]))
+
+
+def read_all(chunks):
+    """The id lists that chunks() yields up to its end or its first error, and that error or None."""
+    got = []
+    try:
+        for c in chunks():
+            assert (type(c), c.ndim, c.dtype) == (np.ndarray, 1, np.int64)
+            got.append(c.tolist())
+    except (ValueError, OverflowError) as err:
+        return got, err
+    return got, None
+
+
+# a plain block is parsed by text-mode np.fromstring: a numpy that deprecates it fails here
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# numpy saturates an id at the int64 maximum: the maximum itself is an id below n = 10**30, and
+# one past it is refused as the line loop refuses it
+@example(n_and_data=(10**30, b"7\n9223372036854775807\n"), chunk=workloads.CHUNK)
+@example(n_and_data=(10**30, b"7\n9223372036854775808\n"), chunk=workloads.CHUNK)
+@example(n_and_data=(2**63 - 1, b"7\n9223372036854775807\n"), chunk=workloads.CHUNK)
+@given(n_and_data=st.sampled_from([1, 7, 255, 2**63 - 1, 10**30]).flatmap(
+           lambda n: st.tuples(st.just(n), traces(n))),
+       chunk=st.sampled_from([1, 2, 7, workloads.CHUNK]))
+def test_a_trace_streams_as_the_per_line_reference_reads_it(tmp_path, monkeypatch, n_and_data, chunk):
+    n, data = n_and_data
+    path = tmp_path / "trace.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr(workloads, "CHUNK", chunk)
+    want, error = trace_reference(data, str(path), n, chunk)
+    chunks, raised = read_all(lambda: stream(WorkloadSpec(kind="trace", n=n, path=str(path))))
+    assert chunks == want and all(len(c) <= chunk for c in chunks)
+    whole, raised_whole = read_all(lambda: [read_trace(path, n)])
+    assert whole == ([] if error else [sum(want, [])])
+    for err in (raised, raised_whole):
+        if error is None:
+            assert err is None
+        else:
+            assert type(err) is error[0] and error[1] in (None, str(err))

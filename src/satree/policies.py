@@ -8,7 +8,7 @@ import operator
 import numpy as np
 
 from .tree import CostLedger, TreeState, _exact_int, interchange, tree_distance
-from .workset import RankTable, WsAccumulator, max_rank_item_at_depth
+from .workset import RankTable, WsAccumulator, _window, max_rank_item_at_depth
 
 POLICY_KINDS = ("move-half", "random-push", "max-push", "static-mfu", "fixed")
 # the paper's per-request cost bounds, as multiples of the request's access cost
@@ -170,6 +170,7 @@ class Policy:
             if self._tree.n != _exact_int(n, "item count"):
                 raise ValueError("frequency vector length does not match n")
         else:
+            _window(_exact_int(n, "item count"))  # a too-large n is refused before the tree is built
             self._tree = TreeState(n)
         self._ranks = RankTable.from_tree(self._tree)
         if kind == "max-push":

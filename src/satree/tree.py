@@ -87,9 +87,14 @@ def _permutation(a, n, what) -> np.ndarray:
     raise ValueError(f"{what} must be an integer permutation of 0..n-1")
 
 
-def _int64_view(a: np.ndarray) -> memoryview:
-    """An int64 memoryview over the buffer of a C-contiguous int64 array; its elements are ints."""
-    return memoryview(a).cast("B").cast("q")
+def _int_view(a: np.ndarray, code: str) -> memoryview:
+    """A memoryview over the buffer of a C-contiguous integer array, of the struct code of a's dtype
+    ("q" int64, "i" int32); its elements are ints."""
+    return memoryview(a).cast("B").cast(code)
+
+
+# the largest value an int32 holds: a host, a stamp or a slot must not exceed it
+_INT32_MAX = 2**31 - 1
 
 
 class CostLedger:
@@ -111,26 +116,31 @@ class TreeState:
 
     guest[s] is the item hosted at server s; host[v] is the server hosting
     item v.  Server indices use heap layout (children of s are 2s+1, 2s+2).
-    Both are C-contiguous int64 numpy arrays for vector work, and each has
-    an int64 memoryview over the same buffer, _gv and _hv, through which
-    the per-request scalar reads and stores go: a memoryview element costs
-    less than a numpy one.  The constructor makes both arrays, from a copy
-    of guests when one is given, and they stay the tree's for its lifetime:
-    t.guest and t.host cannot be rebound.  In-place numpy writes are seen
-    through the views; keeping the two inverse to each other is the
-    writer's part.
+    Both are C-contiguous numpy arrays for vector work: guest int64, as
+    max_rank_item_at_depth gathers stamps with it and an int32 index array
+    makes that gather slower, and host int32, half the memory, so every id
+    must fit an int32 and a larger n is refused before anything is
+    allocated.  Each has a memoryview over the same buffer, _gv ("q") and
+    _hv ("i"), through which the per-request scalar reads and stores go: a
+    memoryview element costs less than a numpy one.  The constructor makes
+    both arrays, from a copy of guests when one is given, and they stay the
+    tree's for its lifetime: t.guest and t.host cannot be rebound.  In-place
+    numpy writes are seen through the views; keeping the two inverse to
+    each other is the writer's part.
     """
 
     def __init__(self, n, guests=None):
         n = _exact_int(n, "item count")
         if not is_complete_size(n):
             raise ValueError(f"item count must be 2^d - 1 for d >= 1, got {n}")
+        if n - 1 > _INT32_MAX:
+            raise ValueError(f"item count {n} too large: ids must fit an int32")
         self.n = n
         guest = np.arange(n, dtype=np.int64) if guests is None else _permutation(guests, n, "guests")
-        host = np.empty(n, dtype=np.int64)
-        host[guest] = np.arange(n, dtype=np.int64)
-        self._guest, self._gv = guest, _int64_view(guest)
-        self._host, self._hv = host, _int64_view(host)
+        host = np.empty(n, dtype=np.int32)
+        host[guest] = np.arange(n, dtype=np.int32)
+        self._guest, self._gv = guest, _int_view(guest, "q")
+        self._host, self._hv = host, _int_view(host, "i")
         self.num_levels = n.bit_length()
         # per-server depths floor(log2(s+1)), fixed for the lifetime of the tree; level i
         # holds 2^i servers, so the same array is floor(log2(r)) for ranks r = 1..n; int8,

@@ -122,8 +122,8 @@ def read_trace(path, n) -> np.ndarray:
     """One decimal item id per line, as one int64 array: the whole of a trace workload's stream.
 
     '#' lines are comments and blank lines are skipped.  An id is ASCII
-    digits only: no sign, underscore or non-ASCII digit.  A bad line raises
-    ValueError naming path:line.
+    digits only: no sign, underscore or non-ASCII digit, and below both n
+    and 2**63.  A bad line raises ValueError naming path:line.
     """
     return _joined(_trace_chunks(path, n, CHUNK))
 
@@ -144,6 +144,7 @@ def _trace_chunks(path, n, chunk):
     isdigit() is exactly the ASCII digit test, so nothing is decoded.
     """
     lineno = 0
+    limit = min(n, 1 << 63)  # an id must be below n and fit the int64 the chunks hold
     with open(path, "rb") as fh:
         while block := fh.read(chunk) + fh.readline():
             # 10 is ord("\n"): a block that opens with a newline opens with a blank line
@@ -167,8 +168,9 @@ def _trace_chunks(path, n, chunk):
                 if not line.isdigit():
                     raise ValueError(f"{path}:{lineno}: not a decimal item id: {line.decode(errors='replace')!r}")
                 v = int(line)
-                if v >= n:
-                    raise ValueError(f"{path}:{lineno}: item id {v} out of range for n={n}")
+                if v >= limit:
+                    raise ValueError(f"{path}:{lineno}: item id {v} out of range for "
+                                     + (f"n={n}" if v >= n else "int64"))
                 append(v)
             if items:
                 yield np.frombuffer(items, dtype=np.int64)

@@ -6,7 +6,7 @@ import operator
 
 import numpy as np
 
-from .tree import TreeState, _exact_int, _int64_view
+from .tree import _INT32_MAX, TreeState, _exact_int, _int_view
 
 
 class WsAccumulator:
@@ -16,27 +16,40 @@ class WsAccumulator:
         self.total = 0.0
 
 
+def _window(n: int) -> int:
+    """The slot count n + n//4 + 1 of a rank table of n items; ValueError, before anything is
+    allocated, if that count does not fit an int32."""
+    size = n + n // 4 + 1
+    if size > _INT32_MAX:
+        raise ValueError(f"item count {n} too large: a window of {size} rank slots does not fit an int32")
+    return size
+
+
 class RankTable:
     """Last-access stamps per item; rank(v) = 1 + #items stamped more recently.
 
-    Stamps are slots in a window of n + n//4 + 1: stamps[v] is the slot of
-    v's last access, and clock the slot the next access takes.  A Fenwick
-    tree (Fenwick 1994) over the slots marks the dead ones below the clock,
-    the slots items have left.  Every slot below stamps[v] is live or dead,
-    so rank(v) = n - stamps[v] + (dead slots below stamps[v]): a rank is one
-    prefix count and a record one point update, at the slot it kills, both
-    O(log n); the clock's new slot was unmarked and stays so.  When the
-    clock reaches the end of the window the stamps are renumbered 0..n-1 in
-    recency order, O(n) once every n//4 + 1 records, and with no dead slot
-    the tree starts again from zeros.
+    Stamps are int32 slots in a window of n + n//4 + 1: stamps[v] is the
+    slot of v's last access, and clock the slot the next access takes.  The
+    slots items have left below the clock are dead, one bit each in a dead
+    mask of 64-bit words (slot i is bit i & 63 of word i >> 6), and an int32
+    Fenwick tree (Fenwick 1994) over the words counts the dead bits of each
+    word prefix.  Every slot below stamps[v] is live or dead, so rank(v) =
+    n - stamps[v] + (dead slots below stamps[v]): the popcount of the masked
+    word of stamps[v] plus one Fenwick prefix over the words before it.  A
+    record sets one bit and makes one Fenwick update, at the word of the
+    slot it kills; both are O(log(n/64)), and the clock's new slot was live
+    and stays so.  When the clock reaches the end of the window the stamps
+    are renumbered 0..n-1 in recency order, O(n) once every n//4 + 1
+    records, and with no dead slot the mask and the tree start again from
+    zeros.  An n whose window does not fit an int32 is refused.
 
     Before any access, RankTable(n) ranks item i as i + 1 and from_tree
     ranks the item at server i as i + 1, both with stamps 0..n-1.  So a
     fresh layout is an MRU tree and every argmax over ranks is tie-free.
     The stamps array is the table's for its lifetime; rank and record read
-    and store it through _sv, an int64 memoryview over its buffer, and
+    and store it through _sv, an int32 memoryview over its buffer, and
     rt.stamps is a read-only view of it, since a write from outside would
-    bypass the Fenwick tree, the slot map and the boundaries below.
+    bypass the dead mask, the slot map and the boundaries below.
 
     Max-push also needs the item of some ranks, so a table it uses keeps a
     slot -> item map (int32, one entry per slot), allocated by _map_slots
@@ -54,12 +67,13 @@ class RankTable:
         self.n = _exact_int(n, "item count")
         if self.n < 1:
             raise ValueError(f"item count must be at least 1, got {n}")
-        self._size = self.n + self.n // 4 + 1
+        self._size = _window(self.n)
+        self._words = (self._size + 63) >> 6  # of the dead mask, 64 slots each
         self._item = None  # the slot -> item map, allocated by _map_slots
         self._bnd = None  # _bnd[j], the item of rank 2^(j+1) - 1, kept with the map
-        self._stamps = np.arange(self.n - 1, -1, -1, dtype=np.int64)
-        self._reset_fenwick()
-        self._sv = _int64_view(self._stamps)
+        self._stamps = np.arange(self.n - 1, -1, -1, dtype=np.int32)
+        self._reset_dead()
+        self._sv = _int_view(self._stamps, "i")
         self._ro_stamps = self._stamps.view()
         self._ro_stamps.flags.writeable = False
 
@@ -78,8 +92,8 @@ class RankTable:
     def _renumber(self):
         """Restamp the items 0..n-1 from least to most recent."""
         order = np.argsort(self._stamps)
-        self._stamps[order] = np.arange(self.n)
-        self._reset_fenwick()
+        self._stamps[order] = np.arange(self.n, dtype=np.int32)
+        self._reset_dead()
         if self._item is not None:
             self._map_slots()
 
@@ -95,29 +109,34 @@ class RankTable:
         item[self._stamps] = np.arange(self.n, dtype=np.int32)
         self._bnd = item[self.n + 1 - (2 << np.arange(self.n.bit_length()))].tolist()
 
-    def _reset_fenwick(self):
-        """Fenwick tree (int32 counts, indexed from 1) with no dead slot; the clock at n."""
-        self._fen = memoryview(bytearray(4 * (self._size + 1))).cast("i")
+    def _reset_dead(self):
+        """No dead slot: a zero dead mask and a zero Fenwick tree over its words (int32 counts,
+        indexed from 1); the clock at n."""
+        self._dead = memoryview(bytearray(8 * self._words)).cast("Q")
+        self._fen = memoryview(bytearray(4 * (self._words + 1))).cast("i")
         self.clock = self.n
 
     def rank(self, v) -> int:
         """Rank of item v: n - its slot + the dead slots below it; ValueError for a non-item."""
         fen, n = self._fen, self.n
         i = self._sv[_exact_int(v, "item id", n)]
-        r = n - i
-        while i:
-            r += fen[i]
-            i &= i - 1
+        w = i >> 6
+        r = n - i + (self._dead[w] & ((1 << (i & 63)) - 1)).bit_count()
+        while w:
+            r += fen[w]
+            w &= w - 1
         return r
 
     def _touch(self, v, r):
         """Move item v, of rank r, to the clock slot, the most recent one, and mark its old slot dead."""
-        fen, size, stamps = self._fen, self._size, self._sv
+        fen, words, stamps = self._fen, self._words, self._sv
         old = stamps[v]
-        i = old + 1
-        while i <= size:
-            fen[i] += 1
-            i += i & -i
+        w = old >> 6
+        self._dead[w] |= 1 << (old & 63)
+        w += 1
+        while w <= words:
+            fen[w] += 1
+            w += w & -w
         stamps[v] = self.clock
         item = self._item
         if item is not None:
@@ -131,7 +150,7 @@ class RankTable:
                     i += 1
                 bnd[j] = item[i]
         self.clock += 1
-        if self.clock == size:
+        if self.clock == self._size:
             self._renumber()
 
 

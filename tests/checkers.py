@@ -163,9 +163,7 @@ def trace_reference(data, path, n, chunk):
     None.  A block runs from where the last one ended through its first chunk
     bytes, and on to the first newline after them, or to the end of the file.
     A line stripped of ASCII whitespace is skipped when empty or a '#' comment;
-    otherwise it is ASCII digits, for an id below n.  An id below n that no
-    int64 holds raises OverflowError, worded by the interpreter: its message
-    is None here.
+    otherwise it is ASCII digits, for an id below n that an int64 holds.
     """
     lines = data.split(b"\n")
     if data.endswith(b"\n"):
@@ -184,7 +182,7 @@ def trace_reference(data, path, n, chunk):
         elif int(body) >= n:
             error = ValueError, f"{path}:{lineno}: item id {int(body)} out of range for n={n}"
         elif int(body) >= 1 << 63:
-            error = OverflowError, None
+            error = ValueError, f"{path}:{lineno}: item id {int(body)} out of range for int64"
         else:
             ids.append(int(body))
             continue

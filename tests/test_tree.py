@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from checkers import check_bijection
 from satree import (
     Policy,
+    RankTable,
     TreeState,
     depth,
     interchange,
@@ -245,9 +246,10 @@ def test_views_see_in_place_numpy_writes():
     assert routing_header(t, 0) == "11" and routing_header(t, 6) == ""
 
 
-@pytest.mark.parametrize("what", ["guest", "host"])
-def test_rebinding_copies_other_integer_arrays_to_contiguous_int64(what):
-    # a layout is rebound by building a new tree, whose constructor makes the copy
+@pytest.mark.parametrize("what, dtype", [("guest", np.int64), ("host", np.int32)], ids=["guest", "host"])
+def test_rebinding_copies_other_integer_arrays_to_contiguous_int64(what, dtype):
+    # a layout is rebound by building a new tree, whose constructor makes the copy; guest is
+    # int64 for max_rank_item_at_depth's gather, host is int32 (its ids fit one) to halve its memory
     strided = np.repeat(np.arange(15), 2)[::2]
     read_only = np.arange(15)
     read_only.flags.writeable = False
@@ -255,7 +257,7 @@ def test_rebinding_copies_other_integer_arrays_to_contiguous_int64(what):
               np.arange(15, dtype=np.int64), list(range(15))):
         t = TreeState(15, guests=a)
         got, view = getattr(t, what), getattr(t, f"_{what[0]}v")
-        assert got is not a and got.dtype == np.int64 and got.flags.c_contiguous and got.flags.writeable
+        assert got is not a and got.dtype == dtype and got.flags.c_contiguous and got.flags.writeable
         assert got.tolist() == list(view) == list(range(15))
 
 
@@ -289,6 +291,32 @@ def test_item_count_is_an_exact_integer_of_the_form_2_pow_d_minus_1():
     for n in (1, 7, np.int64(7), np.uint8(15)):
         t = TreeState(n)
         assert type(t.n) is int and t.n == n and t.guest.tolist() == list(range(n))
+
+
+class Allocated(Exception):
+    """What numpy's allocators raise while patched: an item count got past the size checks."""
+
+
+def test_an_item_count_past_int32_ids_or_rank_slots_is_refused_before_anything_is_allocated(monkeypatch):
+    # an accepted count would allocate gigabytes, so numpy's allocators raise instead: a refused
+    # count must raise its ValueError before it reaches one, an accepted one reaches one
+    def allocate(*args, **kwargs):
+        raise Allocated
+    for name in ("arange", "empty", "zeros", "ones", "full", "array", "asarray", "repeat", "frombuffer"):
+        monkeypatch.setattr(np, name, allocate)
+    with pytest.raises(Allocated):
+        TreeState(2**31 - 1)  # ids 0..2**31 - 2 fit an int32
+    with pytest.raises(ValueError, match="item count 4294967295 too large: ids must fit an int32"):
+        TreeState(2**32 - 1)
+    with pytest.raises(Allocated):
+        RankTable(1717986917)  # its window of n + n//4 + 1 = 2**31 - 1 slots fits an int32
+    with pytest.raises(ValueError, match="item count 1717986918 too large: a window of 2147483648 rank slots"):
+        RankTable(1717986918)
+    for kind in ("move-half", "random-push", "max-push", "fixed"):
+        with pytest.raises(ValueError, match="item count 2147483647 too large: a window of"):
+            Policy(kind, 2**31 - 1)
+        with pytest.raises(Allocated):
+            Policy(kind, 2**30 - 1)
 
 
 def test_interchange_common_branch():

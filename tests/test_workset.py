@@ -205,3 +205,30 @@ def test_max_rank_item_at_depth_matches_an_argmin_over_each_level(n):
         if v % 7 == 0:
             check()
     check()
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 1000, 1023])
+def test_rank_record_and_level_boundaries_match_a_brute_force_rank_across_mask_words(n):
+    # the n + n//4 + 1 slots span 1 to 20 words of the dead mask, 64 slots a word; every n//4 + 1
+    # records renumber the table, and each record is checked against ranks counted from access times
+    rt = RankTable(n)
+    rt._map_slots()  # the slot map and level boundaries that max-push keeps
+    last = -np.arange(n)  # item i starts with rank i + 1
+    levels = [j for j in range(n.bit_length()) if (2 << j) - 1 <= n]
+    rng = np.random.default_rng(n)
+    m = 4 * (n // 4 + 1)
+    # half the requests zipf(1.5) over the ids, so that a few items recur and leave runs of dead
+    # slots, half uniform
+    requests = np.where(rng.random(m) < 0.5, rng.zipf(1.5, m) - 1, rng.integers(0, n, m)) % n
+    renumberings = 0
+    for t, v in enumerate(requests.tolist(), start=1):
+        assert record(rt, v) == 1 + int((last > last[v]).sum())
+        last[v] = t
+        renumberings += rt.clock == n  # the clock restarts at n only by a renumbering
+        order = np.argsort(-last)  # the item of rank r is order[r - 1]
+        assert [rt._bnd[j] for j in levels] == [int(order[(2 << j) - 2]) for j in levels]
+        if t % (n // 16 + 1) == 0 or rt.clock == n:
+            want = np.empty(n, dtype=np.int64)
+            want[order] = np.arange(1, n + 1)
+            assert [rt.rank(u) for u in range(n)] == want.tolist()
+    assert renumberings >= 3

@@ -12,6 +12,7 @@ import numpy as np
 
 from .oracle import check_supported, opt_cost
 from .policies import Policy
+from .tree import _exact_int
 from .workloads import WorkloadSpec, generate, stream, zipf_frequencies
 from .workset import is_mru
 
@@ -114,10 +115,11 @@ def random_push_rank_stats(n, m, seeds, warmup=0):
     counts (int64), n + 1 entries each indexed by rank, summed over all
     seeds, skipping the first `warmup` requests of each run.
     """
-    # every seed's spec is checked before the first request is drawn
+    # every seed's spec, and then warmup, is checked before the first request is drawn
     specs = [WorkloadSpec(kind="uniform", n=n, m=m, seed=seed) for seed in seeds]
     if not specs:
         raise ValueError("need at least one seed")
+    warmup = _exact_int(warmup, "warmup")
     # plain lists: integer sums, exact as float64 in the arrays returned
     depth_sum, depth_cnt, w_sum, w_cnt = ([0] * (n + 1) for _ in range(4))
     for spec in specs:

@@ -8,6 +8,9 @@ import numpy as np
 
 from .tree import _INT32_MAX, TreeState, _exact_int, _int_view
 
+_LEAF = 10  # 2**10 slots a dead-mask leaf: of 2**6, 2**8, 2**10 and 2**12, fastest at n = 131071
+_SLOT = (1 << _LEAF) - 1  # slot i is bit i & _SLOT of leaf i >> _LEAF
+
 
 class WsAccumulator:
     """Sum of log2(rank at request time) over the requests served so far."""
@@ -31,17 +34,18 @@ class RankTable:
     Stamps are int32 slots in a window of n + n//4 + 1: stamps[v] is the
     slot of v's last access, and clock the slot the next access takes.  The
     slots items have left below the clock are dead, one bit each in a dead
-    mask of 64-bit words (slot i is bit i & 63 of word i >> 6), and an int32
-    Fenwick tree (Fenwick 1994) over the words counts the dead bits of each
-    word prefix.  Every slot below stamps[v] is live or dead, so rank(v) =
-    n - stamps[v] + (dead slots below stamps[v]): the popcount of the masked
-    word of stamps[v] plus one Fenwick prefix over the words before it.  A
-    record sets one bit and makes one Fenwick update, at the word of the
-    slot it kills; both are O(log(n/64)), and the clock's new slot was live
-    and stays so.  When the clock reaches the end of the window the stamps
-    are renumbered 0..n-1 in recency order, O(n) once every n//4 + 1
-    records, and with no dead slot the mask and the tree start again from
-    zeros.  An n whose window does not fit an int32 is refused.
+    mask kept as a list of Python-int leaves of 1024 slots (slot i is bit
+    i & 1023 of leaf i >> 10), and a Fenwick tree (Fenwick 1994), a plain
+    list over the leaves, counts the dead bits of each leaf prefix.  Every
+    slot below stamps[v] is live or dead, so rank(v) = n - stamps[v] +
+    (dead slots below stamps[v]): the popcount of the masked leaf of
+    stamps[v] plus one Fenwick prefix over the leaves before it.  A record
+    sets one bit and makes one Fenwick update, at the leaf of the slot it
+    kills; both take O(log(n/1024)) list steps, and the clock's new slot
+    was live and stays so.  When the clock reaches the end of the window
+    the stamps are renumbered 0..n-1 in recency order, O(n) once every
+    n//4 + 1 records, and with no dead slot the leaves and the tree start
+    again from zeros.  An n whose window does not fit an int32 is refused.
 
     Before any access, RankTable(n) ranks item i as i + 1 and from_tree
     ranks the item at server i as i + 1, both with stamps 0..n-1.  So a
@@ -68,7 +72,7 @@ class RankTable:
         if self.n < 1:
             raise ValueError(f"item count must be at least 1, got {n}")
         self._size = _window(self.n)
-        self._words = (self._size + 63) >> 6  # of the dead mask, 64 slots each
+        self._leaves = (self._size + _SLOT) >> _LEAF  # of the dead mask, 2**_LEAF slots each
         self._item = None  # the slot -> item map, allocated by _map_slots
         self._bnd = None  # _bnd[j], the item of rank 2^(j+1) - 1, kept with the map
         self._stamps = np.arange(self.n - 1, -1, -1, dtype=np.int32)
@@ -110,18 +114,18 @@ class RankTable:
         self._bnd = item[self.n + 1 - (2 << np.arange(self.n.bit_length()))].tolist()
 
     def _reset_dead(self):
-        """No dead slot: a zero dead mask and a zero Fenwick tree over its words (int32 counts,
-        indexed from 1); the clock at n."""
-        self._dead = memoryview(bytearray(8 * self._words)).cast("Q")
-        self._fen = memoryview(bytearray(4 * (self._words + 1))).cast("i")
+        """No dead slot: a list of zero leaves and a zero Fenwick tree over them (a list of
+        counts, indexed from 1); the clock at n."""
+        self._dead = [0] * self._leaves
+        self._fen = [0] * (self._leaves + 1)
         self.clock = self.n
 
     def rank(self, v) -> int:
         """Rank of item v: n - its slot + the dead slots below it; ValueError for a non-item."""
         fen, n = self._fen, self.n
         i = self._sv[_exact_int(v, "item id", n)]
-        w = i >> 6
-        r = n - i + (self._dead[w] & ((1 << (i & 63)) - 1)).bit_count()
+        w = i >> _LEAF
+        r = n - i + (self._dead[w] & ((1 << (i & _SLOT)) - 1)).bit_count()
         while w:
             r += fen[w]
             w &= w - 1
@@ -129,12 +133,12 @@ class RankTable:
 
     def _touch(self, v, r):
         """Move item v, of rank r, to the clock slot, the most recent one, and mark its old slot dead."""
-        fen, words, stamps = self._fen, self._words, self._sv
+        fen, leaves, stamps = self._fen, self._leaves, self._sv
         old = stamps[v]
-        w = old >> 6
-        self._dead[w] |= 1 << (old & 63)
+        w = old >> _LEAF
+        self._dead[w] |= 1 << (old & _SLOT)
         w += 1
-        while w <= words:
+        while w <= leaves:
             fen[w] += 1
             w += w & -w
         stamps[v] = self.clock

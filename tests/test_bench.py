@@ -239,6 +239,12 @@ def test_rank_stats_are_float_sums_and_integer_counts_per_rank():
 def test_rank_stats_need_a_seed():
     with pytest.raises(ValueError, match="seed"):
         random_push_rank_stats(7, 10, [])
+    # and a warmup that counts requests: no bool, negative or fractional one
+    for warmup, message in ((True, "warmup must be an integer, got True"), (-3, "warmup -3 out of range"),
+                            (2.5, "warmup must be an integer, got 2.5")):
+        with pytest.raises(ValueError) as exc:
+            random_push_rank_stats(7, 20, [0], warmup)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("seeds, message", [

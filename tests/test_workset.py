@@ -207,10 +207,12 @@ def test_max_rank_item_at_depth_matches_an_argmin_over_each_level(n):
     check()
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 1000, 1023])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 819, 820, 1000, 1023, 1638, 1639, 4095])
 def test_rank_record_and_level_boundaries_match_a_brute_force_rank_across_mask_words(n):
-    # the n + n//4 + 1 slots span 1 to 20 words of the dead mask, 64 slots a word; every n//4 + 1
-    # records renumber the table, and each record is checked against ranks counted from access times
+    # the n + n//4 + 1 slots fill part of one leaf of the dead mask, 1024 slots a leaf, up to one
+    # full leaf (n = 819), one leaf and two slots (820), two full leaves (1638), two leaves and one
+    # slot (1639) and five leaves (4095); every n//4 + 1 records renumber the table, and each
+    # record is checked against ranks counted from access times
     rt = RankTable(n)
     rt._map_slots()  # the slot map and level boundaries that max-push keeps
     last = -np.arange(n)  # item i starts with rank i + 1
